@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import photometry
 from .colorimetry import (
     Chromaticity,
     default_cmf_path,

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the shared check for
+positive, finite arguments."""
+
+import math
 
 
 class LumenError(Exception):
@@ -33,3 +36,13 @@ class ParseError(LumenError, ValueError):
 
 class ValidationError(LumenError, ValueError):
     """Parsed data violates a structural invariant."""
+
+
+def check_positive(what: str, value: float, unit: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is finite and > 0.
+
+    NaN and infinity are rejected here, at the boundary, because the
+    fixed-rule integrals downstream would carry them into a result.
+    """
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value} {unit}")

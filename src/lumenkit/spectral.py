@@ -3,6 +3,10 @@
 All public interfaces take wavelengths in nanometers and temperatures
 in kelvin; conversion to SI meters happens only inside the Planck
 evaluators.
+
+Each model defines in one place its vectorised ``density(lam)`` (zero
+outside its support), its ``support()`` and its ``breakpoints()``, the
+wavelengths where the density is not smooth, at which integrals split.
 """
 
 from __future__ import annotations
@@ -15,12 +19,28 @@ from typing import Union
 import numpy as np
 
 from .constants import CODATA, NM_TO_M
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError, check_positive
 from .quadrature import spline_fit
 
 # Beyond this argument exp() would overflow a double; the occupancy is
 # below the smallest normal double long before that, so return 0.
 _EXP_ARG_MAX = 700.0
+
+_HC = CODATA.h * CODATA.c
+_TWO_HC2 = 2.0 * CODATA.h * CODATA.c ** 2
+
+# A Gaussian emitter is numerically zero beyond this many widths of its
+# peak (exp(-112.5) < 1e-48).
+GAUSS_REACH_WIDTHS = 15.0
+_GAUSS_GRID = np.arange(-GAUSS_REACH_WIDTHS, GAUSS_REACH_WIDTHS + 1.0)
+
+
+def _planck(lam_nm, t_k: float):
+    """Vectorised f_B(lambda); the one place the Planck law is written."""
+    lam = lam_nm * NM_TO_M
+    x = _HC / (lam * CODATA.k_B * t_k)
+    return np.where(x > _EXP_ARG_MAX, 0.0,
+                    (_TWO_HC2 / lam ** 5) / np.expm1(np.minimum(x, _EXP_ARG_MAX)))
 
 
 def planck_radiance(lam_nm: float, t_k: float) -> float:
@@ -28,15 +48,9 @@ def planck_radiance(lam_nm: float, t_k: float) -> float:
 
     f_B = (2 h c^2 / lambda^5) / (exp(h c / lambda k_B T) - 1)
     """
-    if lam_nm <= 0:
-        raise DomainError(f"wavelength must be positive, got {lam_nm} nm")
-    if t_k <= 0:
-        raise DomainError(f"temperature must be positive, got {t_k} K")
-    lam = lam_nm * NM_TO_M
-    x = CODATA.h * CODATA.c / (lam * CODATA.k_B * t_k)
-    if x > _EXP_ARG_MAX:
-        return 0.0
-    return (2.0 * CODATA.h * CODATA.c ** 2 / lam ** 5) / math.expm1(x)
+    check_positive("wavelength", lam_nm, "nm")
+    check_positive("temperature", t_k, "K")
+    return float(_planck(np.float64(lam_nm), t_k))
 
 
 def photon_number_density(omega: float, t_k: float) -> float:
@@ -71,6 +85,8 @@ class SampledSpectrum:
             raise DomainError("sampled spectrum needs equal-length 1-d arrays")
         if len(wl) < 4:
             raise DomainError(f"sampled spectrum needs >= 4 points, got {len(wl)}")
+        if not (np.all(np.isfinite(wl)) and np.all(np.isfinite(vals))):
+            raise DomainError("sampled wavelengths and values must be finite")
         if wl[0] <= 0:
             raise DomainError("wavelengths must be positive")
         if not np.all(np.diff(wl) > 0):
@@ -89,19 +105,33 @@ class SampledSpectrum:
         return spline_fit(self.wavelengths_nm, self.values)
 
 
+class _Model:
+    """Defaults for the model methods: no compact support, and a density
+    that is smooth except at the support's edges."""
+
+    def support(self) -> tuple[float, float] | None:
+        return None
+
+    def breakpoints(self):
+        support = self.support()
+        return () if support is None else support
+
+
 @dataclass(frozen=True)
-class Planck:
+class Planck(_Model):
     """Full-range black-body emitter at temperature t_k."""
 
     t_k: float
 
     def __post_init__(self):
-        if self.t_k <= 0:
-            raise DomainError(f"temperature must be positive, got {self.t_k} K")
+        check_positive("temperature", self.t_k, "K")
+
+    def density(self, lam):
+        return _planck(lam, self.t_k)
 
 
 @dataclass(frozen=True)
-class TruncatedPlanck:
+class TruncatedPlanck(_Model):
     """Black-body emitter restricted to [lam_min_nm, lam_max_nm]."""
 
     t_k: float
@@ -109,13 +139,19 @@ class TruncatedPlanck:
     lam_max_nm: float
 
     def __post_init__(self):
-        if self.t_k <= 0:
-            raise DomainError(f"temperature must be positive, got {self.t_k} K")
+        check_positive("temperature", self.t_k, "K")
         _check_band(self.lam_min_nm, self.lam_max_nm)
+
+    def density(self, lam):
+        inside = (lam >= self.lam_min_nm) & (lam <= self.lam_max_nm)
+        return np.where(inside, _planck(lam, self.t_k), 0.0)
+
+    def support(self):
+        return self.lam_min_nm, self.lam_max_nm
 
 
 @dataclass(frozen=True)
-class Flat:
+class Flat(_Model):
     """Equal-energy emitter: unit power density on [lam_min_nm, lam_max_nm]."""
 
     lam_min_nm: float
@@ -124,23 +160,36 @@ class Flat:
     def __post_init__(self):
         _check_band(self.lam_min_nm, self.lam_max_nm)
 
+    def density(self, lam):
+        return np.where((lam >= self.lam_min_nm) & (lam <= self.lam_max_nm), 1.0, 0.0)
+
+    def support(self):
+        return self.lam_min_nm, self.lam_max_nm
+
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Model):
     """Single-Gaussian emitter, exp(-(lam - peak)^2 / (2 width^2))."""
 
     peak_nm: float
     width_nm: float
 
     def __post_init__(self):
-        if self.peak_nm <= 0:
-            raise DomainError(f"peak wavelength must be positive, got {self.peak_nm}")
-        if self.width_nm <= 0:
-            raise DomainError(f"width must be positive, got {self.width_nm}")
+        check_positive("peak wavelength", self.peak_nm, "nm")
+        check_positive("width", self.width_nm, "nm")
+
+    def density(self, lam):
+        z = (lam - self.peak_nm) / self.width_nm
+        return np.exp(-0.5 * z * z)
+
+    def breakpoints(self):
+        """One per width within GAUSS_REACH_WIDTHS of the peak, so that no
+        integration panel there is wider than the Gaussian itself."""
+        return self.peak_nm + self.width_nm * _GAUSS_GRID
 
 
 @dataclass(frozen=True)
-class Line:
+class Line(_Model):
     """Monochromatic (Dirac delta) emitter.
 
     Purely symbolic: never sampled numerically, always handled
@@ -150,15 +199,32 @@ class Line:
     lam_nm: float
 
     def __post_init__(self):
-        if self.lam_nm <= 0:
-            raise DomainError(f"line wavelength must be positive, got {self.lam_nm}")
+        check_positive("line wavelength", self.lam_nm, "nm")
+
+    def density(self, lam):
+        raise UnsupportedModelError(
+            "Line spectra are delta functions; evaluate them analytically"
+        )
 
 
 @dataclass(frozen=True)
-class Sampled:
-    """Spectrum defined by samples, evaluated via a natural cubic spline."""
+class Sampled(_Model):
+    """Spectrum defined by samples, evaluated via a natural cubic spline
+    whose undershoot below zero is clamped."""
 
     grid: SampledSpectrum = field()
+
+    def density(self, lam):
+        wl = self.grid.wavelengths_nm
+        inside = (lam >= wl[0]) & (lam <= wl[-1])
+        return np.where(inside, np.maximum(self.grid.spline(lam), 0.0), 0.0)
+
+    def support(self):
+        wl = self.grid.wavelengths_nm
+        return float(wl[0]), float(wl[-1])
+
+    def breakpoints(self):
+        return self.grid.wavelengths_nm
 
 
 SpectrumModel = Union[Planck, TruncatedPlanck, Flat, Gaussian, Line, Sampled]
@@ -171,29 +237,8 @@ def evaluate_spectrum(model: SpectrumModel, lam_nm: float) -> float:
     support; spline undershoot is clamped to zero.  ``Line`` has no
     pointwise density and raises :class:`UnsupportedModelError`.
     """
-    if lam_nm <= 0:
-        raise DomainError(f"wavelength must be positive, got {lam_nm} nm")
-    if isinstance(model, Planck):
-        return planck_radiance(lam_nm, model.t_k)
-    if isinstance(model, TruncatedPlanck):
-        if not model.lam_min_nm <= lam_nm <= model.lam_max_nm:
-            return 0.0
-        return planck_radiance(lam_nm, model.t_k)
-    if isinstance(model, Flat):
-        return 1.0 if model.lam_min_nm <= lam_nm <= model.lam_max_nm else 0.0
-    if isinstance(model, Gaussian):
-        z = (lam_nm - model.peak_nm) / model.width_nm
-        return math.exp(-0.5 * z * z)
-    if isinstance(model, Sampled):
-        wl = model.grid.wavelengths_nm
-        if lam_nm < wl[0] or lam_nm > wl[-1]:
-            return 0.0
-        return max(model.grid.spline(lam_nm), 0.0)
-    if isinstance(model, Line):
-        raise UnsupportedModelError(
-            "Line spectra are delta functions; evaluate them analytically"
-        )
-    raise UnsupportedModelError(f"unknown spectrum model {model!r}")
+    check_positive("wavelength", lam_nm, "nm")
+    return float(model.density(np.float64(lam_nm)))
 
 
 def model_support(model: SpectrumModel) -> tuple[float, float] | None:
@@ -201,16 +246,11 @@ def model_support(model: SpectrumModel) -> tuple[float, float] | None:
 
     ``None`` for models without compact support (Planck, Gaussian).
     """
-    if isinstance(model, (TruncatedPlanck, Flat)):
-        return model.lam_min_nm, model.lam_max_nm
-    if isinstance(model, Sampled):
-        wl = model.grid.wavelengths_nm
-        return float(wl[0]), float(wl[-1])
-    return None
+    return model.support()
 
 
 def _check_band(lam_min, lam_max):
-    if lam_min <= 0:
-        raise DomainError(f"wavelengths must be positive, got {lam_min} nm")
+    check_positive("wavelengths", lam_min, "nm")
+    check_positive("wavelengths", lam_max, "nm")
     if not lam_min < lam_max:
         raise DomainError(f"need lam_min < lam_max, got [{lam_min}, {lam_max}]")

@@ -2,10 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from simpson_oracle import ACCURACY_SOURCES, oracle_chromaticity
 
 from lumenkit import (
     Chromaticity,
     CmfTable,
+    DomainError,
     Flat,
     Gaussian,
     Line,
@@ -154,6 +156,19 @@ def test_chromaticity_scale_invariance():
     t = Tristimulus(2.0, 3.0, 4.0)
     scaled = Tristimulus(2.0e5, 3.0e5, 4.0e5)
     assert chromaticity(t) == chromaticity(scaled)
+
+
+@pytest.mark.parametrize("model", [s[1] for s in ACCURACY_SOURCES],
+                         ids=[s[0] for s in ACCURACY_SOURCES])
+def test_chromaticity_matches_simpson_oracle(cmf, model):
+    point = chromaticity(tristimulus(model, cmf, 683.0))
+    assert (point.x, point.y) == pytest.approx(oracle_chromaticity(model, cmf), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("x,y", [(float("nan"), 0.3), (0.3, float("inf")), (float("-inf"), 0.3)])
+def test_chromaticity_rejects_non_finite(x, y):
+    with pytest.raises(DomainError):
+        Chromaticity(x, y)
 
 
 def test_chromaticity_black_spectrum():

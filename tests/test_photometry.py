@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from simpson_oracle import ACCURACY_SOURCES, oracle_per, simpson
 
 from lumenkit import (
     DomainError,
@@ -27,7 +28,7 @@ from lumenkit import (
     planck_radiance,
 )
 from lumenkit.constants import NM_TO_M
-from lumenkit.photometry import KM_SI, PLATINUM_LUMINANCE, PLATINUM_POINT_K
+from lumenkit.photometry import KM_SI, PLATINUM_LUMINANCE, PLATINUM_POINT_K, V_BAND_NM
 
 # The printed formulas give these values (frozen from independent
 # scipy.integrate.quad / mpmath evaluations); published round numbers
@@ -232,3 +233,21 @@ def test_narrow_gaussian_approaches_line():
     for lam0 in (450.0, 555.0, 650.0):
         narrow = per(Gaussian(lam0, 0.1), PHOTOPIC, KM_SI, 380.0, 780.0).per
         assert narrow == pytest.approx(KM_SI * luminosity(PHOTOPIC, lam0), rel=1e-3)
+
+
+# --- accuracy of the panel rule against the Simpson oracle ---
+
+
+@pytest.mark.parametrize("v_name", ["photopic", "tabulated"])
+@pytest.mark.parametrize("model,lo,hi", [s[1:] for s in ACCURACY_SOURCES],
+                         ids=[s[0] for s in ACCURACY_SOURCES])
+def test_per_matches_simpson_oracle(cmf, model, lo, hi, v_name):
+    v = PHOTOPIC if v_name == "photopic" else Tabulated.from_cmf(cmf)
+    got = per(model, v, KM_SI, lo, hi).per
+    assert got == pytest.approx(oracle_per(model, v, KM_SI, lo, hi), rel=1e-9, abs=0.0)
+
+
+def test_km_denominator_matches_simpson_oracle():
+    oracle = simpson(lambda lam: planck_radiance(lam, PLATINUM_POINT_K) * luminosity(PHOTOPIC, lam),
+                     *V_BAND_NM) * NM_TO_M
+    assert km_denominator() == pytest.approx(oracle, rel=1e-12)

@@ -13,6 +13,7 @@ from lumenkit import (
     total_planck_radiance,
 )
 from lumenkit.constants import NM_TO_M
+from lumenkit.quadrature import MAX_PANEL_NM, panel_rule
 
 # Closed form (2 pi^4 / 15) (k_B T)^4 / (h^3 c^2), frozen from a
 # 50-digit mpmath evaluation.
@@ -106,6 +107,32 @@ def test_stefan_boltzmann_consistency(t_k):
     assert 1.0 - 1e-4 <= ratio <= 1.0 + 1e-4
 
 
+# --- Gauss-Legendre panel rule ---
+
+
+def test_panel_rule_is_exact_to_degree_nine():
+    # 5-point Gauss-Legendre integrates degree 2n - 1 = 9 exactly on
+    # every panel, so on the whole interval too
+    lam, w = panel_rule(0.0, 13.0, [2.5, 7.1])
+    assert w.sum() == pytest.approx(13.0, rel=1e-15)
+    for k in range(10):
+        got = np.sum(w * (lam / 13.0) ** k)
+        assert got == pytest.approx(13.0 / (k + 1), rel=1e-13)
+
+
+def test_panel_rule_splits_at_breakpoints_and_caps_width():
+    cuts = [381.7, 380.0, 412.0, 412.0, 300.0, 900.0]  # unsorted, repeated, outside
+    lam, w = panel_rule(380.0, 420.0, cuts, np.array([405.25]))
+    panels, widths = lam.reshape(-1, 5), w.reshape(-1, 5).sum(axis=1)
+    assert np.all(widths <= MAX_PANEL_NM * (1.0 + 1e-12))
+    assert widths.sum() == pytest.approx(40.0, rel=1e-14)
+    assert np.all(np.diff(lam) > 0)
+    for b in (381.7, 405.25, 412.0):
+        assert not np.any((panels.min(axis=1) < b) & (panels.max(axis=1) > b))
+    # a jump at a breakpoint is integrated exactly
+    assert np.sum(w * (lam >= 405.25)) == pytest.approx(420.0 - 405.25, rel=1e-14)
+
+
 # --- natural cubic spline ---
 
 
@@ -134,6 +161,20 @@ def test_spline_accuracy_on_sine():
     assert np.max(np.abs(s(interior) - np.sin(interior / 50.0))) < 1e-5
     full = np.linspace(380.0, 780.0, 20001)
     assert np.max(np.abs(s(full) - np.sin(full / 50.0))) < 1e-3
+
+
+def test_spline_second_derivatives_solve_the_tridiagonal_system():
+    rng = np.random.default_rng(13)
+    x = np.cumsum(rng.uniform(0.5, 3.0, 40)) + 380.0
+    y = rng.uniform(0.0, 2.0, 40)
+    h = np.diff(x)
+    # natural spline: h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1]
+    # = 6 (slope[i] - slope[i-1]) at each interior knot, m[0] = m[-1] = 0
+    a = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+    interior = np.linalg.solve(a, 6.0 * np.diff(np.diff(y) / h))
+    d2 = spline_fit(x, y)._d2
+    assert d2[0] == 0.0 and d2[-1] == 0.0
+    assert np.max(np.abs(d2[1:-1] - interior)) <= 1e-12 * np.max(np.abs(interior))
 
 
 def test_spline_rejects_bad_input():

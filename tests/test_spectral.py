@@ -165,6 +165,31 @@ def test_model_validation():
                         np.array([1.0, -0.1, 1.0, 1.0]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Planck(NAN),
+    lambda: Planck(INF),
+    lambda: TruncatedPlanck(5800.0, 400.0, INF),
+    lambda: TruncatedPlanck(NAN, 400.0, 700.0),
+    lambda: Flat(NAN, 780.0),
+    lambda: Flat(380.0, INF),
+    lambda: Gaussian(NAN, 20.0),
+    lambda: Gaussian(450.0, INF),
+    lambda: Line(NAN),
+    lambda: Line(INF),
+    lambda: SampledSpectrum(np.array([400.0, 450.0, 500.0, 550.0]),
+                            np.array([1.0, NAN, 1.0, 1.0])),
+    lambda: SampledSpectrum(np.array([400.0, 450.0, 500.0, INF]), np.ones(4)),
+    lambda: evaluate_spectrum(Flat(380.0, 780.0), NAN),
+    lambda: planck_radiance(555.0, INF),
+])
+def test_non_finite_inputs_are_domain_errors(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_evaluate_spectrum_nonnegative_everywhere():
     rng = np.random.default_rng(23)
     models = [Planck(4000.0), TruncatedPlanck(5000.0, 420.0, 680.0),
