@@ -3,7 +3,8 @@
 Computes the mechanical equivalent of the lumen, the photometric
 efficacy ratio (PER) of arbitrary radiation sources, chromaticity
 coordinates, and the maximum PER achievable at a fixed chromaticity
-(via a built-in two-phase Simplex solver), with a CSV-emitting CLI.
+(from the lower convex envelope of the lifted spectral locus), with a
+CSV-emitting CLI.
 """
 
 from .colorimetry import (
@@ -32,12 +33,9 @@ from .errors import (
 )
 from .maxper import (
     IsoPerGrid,
-    LpProblem,
     LpSolution,
-    build_problem,
     iso_per_scan,
     max_per,
-    simplex_solve,
 )
 from .photometry import (
     KM_SI,

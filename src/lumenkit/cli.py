@@ -235,8 +235,6 @@ def _cmd_maxper(cfg, args):
                        args.delta_lambda)
     if solution.status == "infeasible":
         raise _Infeasible("infeasible: chromaticity outside spectral gamut")
-    if solution.status != "optimal":
-        raise NonConvergenceError(f"simplex returned status {solution.status}")
     lines = [f"max_per_lm_per_w,{_fmt(solution.objective_value)}", "lambda_nm,weight"]
     lines += [f"{_fmt(lam)},{_fmt(weight)}" for lam, weight in solution.support]
     return lines

@@ -94,6 +94,12 @@ class CmfTable:
             a.flags.writeable = False
         return verts, edges
 
+    @cached_property
+    def _envelopes(self) -> dict:
+        """Lower hulls of the lifted locus, by stride, which
+        :mod:`lumenkit.maxper` builds and keeps here on first use."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Tristimulus:
@@ -184,6 +190,7 @@ def tristimulus(model: SpectrumModel, cmf: CmfTable, km: float,
     The tests hold the chromaticity to 1e-10 absolute of adaptive Simpson
     run at rel_tol 1e-12 between the same breakpoints.
     """
+    check_positive("km", km, "lm/W")
     if isinstance(model, Line):
         lam = model.lam_nm
         table_lo, table_hi = cmf.wavelengths_nm[0], cmf.wavelengths_nm[-1]
@@ -275,9 +282,16 @@ def in_gamut(p: Chromaticity, cmf: CmfTable) -> bool:
     them.  A table whose locus points are all collinear has no gamut:
     this raises :class:`ValidationError`.
     """
-    edges = cmf._gamut[1]
-    outside = edges[:, 0] * p.x + edges[:, 1] * p.y - edges[:, 2]
-    return bool(outside.max() <= _BOUNDARY_TOL)
+    return bool(gamut_mask(cmf, p.x, p.y))
+
+
+def gamut_mask(cmf: CmfTable, x, y) -> np.ndarray:
+    """:func:`in_gamut` over arrays: true where (x, y) lies no more than
+    ``_BOUNDARY_TOL`` outside the line of every hull edge.  ``x`` and
+    ``y`` broadcast against each other."""
+    nx, ny, c = cmf._gamut[1].T
+    outside = nx * np.asarray(x)[..., None] + ny * np.asarray(y)[..., None] - c
+    return outside.max(axis=-1) <= _BOUNDARY_TOL
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:

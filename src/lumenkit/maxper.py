@@ -1,17 +1,32 @@
-"""Maximum PER at fixed chromaticity, posed as a linear program and
-solved by a self-contained two-phase Simplex method.
+"""Maximum PER at fixed chromaticity, from the lower convex envelope of the
+lifted spectral locus (MacAdam, J. Opt. Soc. Am. 40, 120, 1950).
 
-Discretizing the spectrum over the CMF wavelengths turns the question
-"what is the largest PER any source of this color can have?" into
+Discretizing the spectrum over the CMF wavelengths, at spacing dlam,
+turns "what is the largest PER any source of this color can have?" into
+the linear program
 
-    maximize   sum_i P_i * (K_m ybar_i)
-    subject to dlam * sum_i P_i = 1
-               sum_i P_i [x_c (xbar_i + ybar_i + zbar_i) - xbar_i] = 0
-               sum_i P_i [y_c (xbar_i + ybar_i + zbar_i) - ybar_i] = 0
-               P_i >= 0
+    maximize   K_m dlam sum_i P_i ybar_i
+    subject to dlam sum_i P_i = 1,  P_i >= 0,  chromaticity (x_c, y_c).
 
-whose optima are spectra of at most three lines (basic feasible
-solutions of a 3-constraint program).
+With S = xbar + ybar + zbar, line i sits at the locus point
+p_i = (xbar_i, ybar_i) / S_i and carries the share w_i = P_i S_i / T of
+the sum T = sum_j P_j S_j of X + Y + Z.  The color constraint says that
+the w_i are convex weights with sum_i w_i p_i = (x_c, y_c), and unit power
+says dlam T sum_i w_i h_i = 1 with h_i = 1 / S_i.  The objective,
+K_m dlam Y = K_m dlam T y_c, is then
+
+    K_m y_c / sum_i w_i h_i,
+
+so the maximum is K_m y_c / E(x_c, y_c), where E is the lower convex
+envelope of the lifted points (x_i, y_i, h_i).  E is piecewise linear: each
+face of the lower hull is a triangle of three lifted points, so every
+optimum mixes at most three lines, the corners of the face under the
+target, and its weights are the barycentric coordinates b of the target in
+that face: E = b . h, and line i carries P_i = b_i h_i / (E dlam).  The
+projection of the hull is the gamut.
+
+The hull is built once per table and stride, on first use, by gift
+wrapping in numpy, and cached on the :class:`CmfTable`.
 """
 
 from __future__ import annotations
@@ -20,42 +35,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorimetry import Chromaticity, CmfTable, in_gamut
-from .errors import DomainError, NonConvergenceError
+from .colorimetry import Chromaticity, CmfTable, gamut_mask, in_gamut
+from .errors import DomainError, ValidationError, check_positive
 
-# A variable this far below the largest one (relative) is basis noise,
+# A line this far below the strongest one (relative) is rounding noise,
 # not a spectral line.
 SUPPORT_RTOL = 1e-9
 
-# Phase-1 objective below this (on max-norm-equilibrated rows) means
-# the constraints are satisfiable.
-FEASIBILITY_TOL = 1e-9
+# A target counts as inside a face when none of its barycentric
+# coordinates there is below -_FACE_TOL.
+_FACE_TOL = 1e-12
 
-_PIVOT_TOL = 1e-11
-_REDUCED_COST_TOL = 1e-11
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Equality-form LP: maximize c . P, A P = b, P >= 0."""
-
-    c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    wavelengths_nm: np.ndarray
-    delta_lambda_nm: float
-    km: float
-
-    def __post_init__(self):
-        if self.a.shape != (3, len(self.c)):
-            raise DomainError(f"constraint matrix must be 3 x N, got {self.a.shape}")
-        if len(self.c) < 4:
-            raise DomainError(f"need at least 4 wavelengths, got {len(self.c)}")
+# Gift wrapping: a point closer than _COLLINEAR_TOL (chromaticity units) to
+# an edge's line is on it, not beside it; candidate planes this close
+# (relative) to the lowest one tie with it, and all of them become faces.
+_COLLINEAR_TOL = 1e-12
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible
     objective_value: float | None
     support: tuple  # (wavelength_nm, power_density) pairs, power > 0
 
@@ -68,201 +68,204 @@ class IsoPerGrid:
     rows: tuple  # (x, y, max_per | None), row-major: y outer, x inner
 
 
-def build_problem(target: Chromaticity, cmf: CmfTable, km: float,
-                  delta_lambda_nm: float | None = None) -> LpProblem:
-    """Assemble the discrete max-PER program for ``target``.
+@dataclass(frozen=True)
+class _Envelope:
+    """Lower-hull faces of the lifted locus at one stride."""
 
-    ``delta_lambda_nm`` defaults to the CMF grid spacing and must be a
-    positive multiple of it (columns are taken at that stride).
-    """
-    spacing = cmf.spacing_nm
-    if delta_lambda_nm is None:
-        delta_lambda_nm = spacing
-    stride_f = delta_lambda_nm / spacing
-    stride = int(round(stride_f))
-    if stride < 1 or abs(stride_f - stride) > 1e-9:
-        raise DomainError(
-            f"delta lambda {delta_lambda_nm} nm does not match the {spacing} nm table grid"
-        )
-    wl = cmf.wavelengths_nm[::stride]
-    xb = cmf.xbar[::stride]
-    yb = cmf.ybar[::stride]
-    zb = cmf.zbar[::stride]
-    if len(wl) < 4:
-        raise DomainError(f"delta lambda {delta_lambda_nm} nm leaves fewer than 4 columns")
-    s = xb + yb + zb
-    a = np.vstack([
-        np.full(len(wl), delta_lambda_nm),
-        target.x * s - xb,
-        target.y * s - yb,
-    ])
-    b = np.array([1.0, 0.0, 0.0])
-    return LpProblem(c=km * yb, a=a, b=b, wavelengths_nm=wl,
-                     delta_lambda_nm=float(delta_lambda_nm), km=km)
+    delta_lambda_nm: float
+    at_table_spacing: bool
+    wavelengths_nm: np.ndarray  # (F, 3) corner wavelengths
+    heights: np.ndarray         # (F, 3) corner heights 1 / S
+    # In face f, at offset (dx, dy) from its first corner, the barycentric
+    # coordinates (k = 0, 1, 2) and the height of its plane (k = 3) are
+    # at0[k, f] + slope_x[k, f] dx + slope_y[k, f] dy.  Offsets from a
+    # corner keep thin faces accurate.
+    origin: tuple               # x and y of the first corners, each (F, 1)
+    at0: np.ndarray             # (4, F, 1)
+    slope: tuple                # slope_x and slope_y, each (4, F, 1)
 
+    def lookup(self, x, y, known):
+        """E, the face and the barycentric coordinates (n, 3) at targets
+        (x, y), 1-d arrays of length n; E is inf where infeasible.
 
-def simplex_solve(problem: LpProblem) -> LpSolution:
-    """Solve the program by two-phase Simplex with Bland's rule.
-
-    Rows are rescaled to unit max-norm before pivoting.  Raises
-    :class:`NonConvergenceError` after 50 N pivots (numerical cycling);
-    Bland's rule makes genuine cycling impossible.
-    """
-    c = np.asarray(problem.c, dtype=float)
-    a = np.asarray(problem.a, dtype=float).copy()
-    b = np.asarray(problem.b, dtype=float).copy()
-    m, n = a.shape
-
-    row_scale = np.max(np.abs(a), axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    a /= row_scale[:, None]
-    b /= row_scale
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    budget = _PivotBudget(50 * n)
-
-    # Phase 1: artificial basis, drive sum of artificials to zero.
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[m, :n] = -a.sum(axis=0)
-    tab[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    status = _pivot_until_optimal(tab, basis, n, budget)
-    if status != "optimal":
-        return LpSolution(status=status, objective_value=None, support=())
-    if -tab[m, -1] > FEASIBILITY_TOL:
-        return LpSolution(status="infeasible", objective_value=None, support=())
-
-    keep = _drive_out_artificials(tab, basis, n)
-    rows = [i for i in range(m) if keep[i]]
-
-    # Phase 2: restore the true objective over the structural columns.
-    m2 = len(rows)
-    tab2 = np.zeros((m2 + 1, n + 1))
-    tab2[:m2, :n] = tab[rows, :n]
-    tab2[:m2, -1] = tab[rows, -1]
-    basis2 = [basis[i] for i in rows]
-    tab2[m2, :n] = -c
-    for i, var in enumerate(basis2):
-        if c[var] != 0.0:
-            tab2[m2, :] += c[var] * tab2[i, :]
-    status = _pivot_until_optimal(tab2, basis2, n, budget)
-    if status != "optimal":
-        return LpSolution(status=status, objective_value=None, support=())
-
-    x = np.zeros(n)
-    for i, var in enumerate(basis2):
-        x[var] = max(tab2[i, -1], 0.0)
-    objective = problem.delta_lambda_nm * float(c @ x)
-    peak = float(x.max())
-    support = tuple(
-        (float(problem.wavelengths_nm[j]), float(x[j]))
-        for j in range(n)
-        if x[j] > SUPPORT_RTOL * peak
-    )
-    return LpSolution(status="optimal", objective_value=objective, support=support)
+        Of the faces that contain a target, the lowest there wins: every
+        triangle of lifted points lies on or above the envelope, so a
+        spare near-coplanar face never wins wrongly.  ``known`` marks the
+        targets that are feasible (None: those that some face contains);
+        where no face contains a feasible target, which then lies just
+        outside a hull edge, within the 1e-12 that :func:`in_gamut`
+        allows, the face it is least outside of stands in.
+        """
+        n = len(x)
+        (ox, oy), (sx, sy) = self.origin, self.slope
+        out = self.at0 + sx * (x - ox) + sy * (y - oy)
+        bary, height = out[:3], out[3]
+        worst = bary.min(axis=0)  # (F, n)
+        floor = np.minimum(-_FACE_TOL, worst.max(axis=0))
+        height[worst < floor] = np.inf
+        face = height.argmin(axis=0)
+        cols = np.arange(n)
+        envelope = height[face, cols]
+        if known is None:
+            known = worst[face, cols] >= -_FACE_TOL
+        envelope[~known] = np.inf
+        return envelope, face, bary[:, face, cols].T
 
 
 def max_per(target: Chromaticity, cmf: CmfTable, km: float,
             delta_lambda_nm: float | None = None) -> LpSolution:
-    """Build and solve the max-PER program for ``target``."""
-    return simplex_solve(build_problem(target, cmf, km, delta_lambda_nm))
+    """Largest PER of any spectrum of lines on the CMF grid (every
+    ``delta_lambda_nm``, by default the table's spacing) with chromaticity
+    ``target``: K_m y / E(x, y), with E the lower convex envelope of the
+    lifted locus (see the module docstring).
+
+    The support holds at most three lines, in ascending wavelength, as
+    (wavelength_nm, power density per nm) pairs of unit total power.  At
+    the table's spacing a target is feasible exactly when :func:`in_gamut`
+    holds; at a coarser spacing, when it lies in the hull of the strided
+    locus.  Otherwise the status is ``infeasible``.
+    """
+    check_positive("km", km, "lm/W")
+    env = _envelope(cmf, delta_lambda_nm)
+    inside = np.array([in_gamut(target, cmf)]) if env.at_table_spacing else None
+    envelope, face, bary = env.lookup(np.array([target.x]), np.array([target.y]), inside)
+    e = float(envelope[0])
+    if e == np.inf:
+        return LpSolution(status="infeasible", objective_value=None, support=())
+    f = int(face[0])
+    power = bary[0] * env.heights[f] / (e * env.delta_lambda_nm)
+    keep = power > SUPPORT_RTOL * power.max()
+    support = tuple(sorted(zip(env.wavelengths_nm[f][keep].tolist(), power[keep].tolist())))
+    return LpSolution(status="optimal", objective_value=km * target.y / e, support=support)
 
 
 def iso_per_scan(grid_step: float, cmf: CmfTable, km: float,
                  delta_lambda_nm: float | None = None) -> IsoPerGrid:
     """Max PER over the chromaticity grid k*grid_step in [0, 1]^2.
 
-    Rows come out row-major (y outer, x inner), every grid point
-    present.  Points out of gamut, that is outside the convex hull of the
-    spectral locus (see :func:`~lumenkit.colorimetry.in_gamut`), carry
-    None, and so do LP-infeasible points on the hull's boundary.
+    Rows come out row-major (y outer, x inner), every grid point present.
+    A point carries None where :func:`max_per` would be infeasible: at the
+    table's spacing, outside the convex hull of the spectral locus (see
+    :func:`~lumenkit.colorimetry.in_gamut`); at a coarser spacing, outside
+    the hull of the strided locus.  Points with x + y > 1 carry None too.
+    Each grid row is one vectorised envelope lookup.
     """
+    check_positive("km", km, "lm/W")
     if not 0.0 < grid_step <= 0.05:
         raise DomainError(f"grid step must lie in (0, 0.05], got {grid_step}")
+    env = _envelope(cmf, delta_lambda_nm)
     steps = int(round(1.0 / grid_step))
+    xs = np.arange(steps + 1) * grid_step
     rows = []
     for iy in range(steps + 1):
         y = iy * grid_step
-        for ix in range(steps + 1):
-            x = ix * grid_step
-            value = None
-            if x + y <= 1.0 and in_gamut(Chromaticity(x, y), cmf):
-                solution = max_per(Chromaticity(x, y), cmf, km, delta_lambda_nm)
-                if solution.status == "optimal":
-                    value = solution.objective_value
+        inside = gamut_mask(cmf, xs, y) if env.at_table_spacing else None
+        envelope, _, _ = env.lookup(xs, np.full(len(xs), y), inside)
+        for x, e in zip(xs.tolist(), envelope.tolist()):
+            value = km * y / e if x + y <= 1.0 and e != np.inf else None
             rows.append((x, y, value))
     return IsoPerGrid(grid_step=grid_step, rows=tuple(rows))
 
 
-class _PivotBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise NonConvergenceError(
-                f"simplex exceeded {self.limit} pivots; numerical cycling suspected"
-            )
-
-
-def _pivot_until_optimal(tab, basis, n_structural, budget) -> str:
-    """Bland-rule pivoting on a maximization tableau until no reduced
-    cost improves; returns 'optimal' or 'unbounded'."""
-    m = tab.shape[0] - 1
-    while True:
-        enter = -1
-        for j in range(n_structural):
-            if tab[m, j] < -_REDUCED_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = (np.inf, np.inf)
-        for i in range(m):
-            coef = tab[i, enter]
-            if coef > _PIVOT_TOL:
-                ratio = max(tab[i, -1], 0.0) / coef
-                key = (ratio, basis[i])  # Bland tie-break: lowest variable
-                if key < best:
-                    best = key
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        budget.spend()
-        _pivot(tab, basis, leave, enter)
+def _envelope(cmf: CmfTable, delta_lambda_nm: float | None) -> _Envelope:
+    """The lower hull of ``cmf`` at ``delta_lambda_nm`` (default: the
+    table's spacing, which must divide it), built on first use and kept in
+    the table's ``_envelopes`` cache by stride."""
+    spacing = cmf.spacing_nm
+    if delta_lambda_nm is None:
+        delta_lambda_nm = spacing
+    check_positive("delta lambda", delta_lambda_nm, "nm")
+    stride_f = delta_lambda_nm / spacing
+    stride = int(round(stride_f))
+    if stride < 1 or abs(stride_f - stride) > 1e-9:
+        raise DomainError(
+            f"delta lambda {delta_lambda_nm} nm does not match the {spacing} nm table grid"
+        )
+    if len(cmf.wavelengths_nm[::stride]) < 3:
+        raise DomainError(f"delta lambda {delta_lambda_nm} nm leaves fewer than 3 wavelengths")
+    env = cmf._envelopes.get(stride)
+    if env is None:
+        env = cmf._envelopes.setdefault(stride, _build_envelope(cmf, stride))
+    return env
 
 
-def _pivot(tab, basis, row, col):
-    tab[row, :] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i, :] -= tab[i, col] * tab[row, :]
-    basis[row] = col
+def _build_envelope(cmf: CmfTable, stride: int) -> _Envelope:
+    """Lower hull of the lifted locus of every ``stride``-th table row."""
+    wl = cmf.wavelengths_nm[::stride]
+    bars = np.stack([cmf.xbar[::stride], cmf.ybar[::stride], cmf.zbar[::stride]])
+    s = bars.sum(axis=0)
+    if np.any(s <= 0):
+        raise ValidationError("CMF table has an all-zero row; locus undefined")
+    x, y, h = bars[0] / s, bars[1] / s, 1.0 / s
+    # Lines of one chromaticity (750, 760 and 770 nm on the CIE table)
+    # compete only on height: keep the lowest.
+    order = np.lexsort((h, y, x))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(x[order]) != 0.0) | (np.diff(y[order]) != 0.0)
+    keep = np.sort(order[first])
+    wl, x, y, h = wl[keep], x[keep], y[keep], h[keep]
+
+    faces = _gift_wrap(x, y, h)
+    if not faces:
+        raise ValidationError("CMF spectral locus is collinear; gamut has no interior")
+    idx = np.array(faces)
+    wl, h = wl[idx], h[idx]  # (F, 3)
+    x, y = x[idx].T.copy(), y[idx].T.copy()  # (3, F)
+    # Coordinate k in a face is the area of (q, corner k+1, corner k+2) over
+    # the face's, so its slope is the edge opposite corner k, rotated, over
+    # twice the face's area.
+    ex = np.roll(x, -2, axis=0) - np.roll(x, -1, axis=0)
+    ey = np.roll(y, -2, axis=0) - np.roll(y, -1, axis=0)
+    twice_area = ex[0] * ey[1] - ey[0] * ex[1]
+    slope = tuple(np.vstack([d, np.sum(d * h.T, axis=0)])[..., None]
+                  for d in (-ey / twice_area, ex / twice_area))
+    at0 = np.zeros((4, len(idx), 1))
+    at0[0] = 1.0
+    at0[3, :, 0] = h[:, 0]
+    origin = (x[0][:, None], y[0][:, None])
+    for a in (wl, h, at0, *origin, *slope):
+        a.flags.writeable = False
+    return _Envelope(stride * cmf.spacing_nm, stride == 1, wl, h, origin, at0, slope)
 
 
-def _drive_out_artificials(tab, basis, n_structural):
-    """Pivot basic artificials onto structural columns where possible;
-    rows that cannot be repaired are redundant and get dropped."""
-    m = tab.shape[0] - 1
-    keep = [True] * m
-    for i in range(m):
-        if basis[i] < n_structural:
+def _gift_wrap(x, y, h) -> list[tuple[int, int, int]]:
+    """Lower-hull faces of the points (x, y, h), as index triples
+    counter-clockwise in (x, y), each sorted to start at its lowest index.
+
+    Starts from a lower edge at the lowest point (its least steep edge),
+    then wraps across every edge found: the faces beyond edge (u, v) have
+    their third corner among the points strictly left of u -> v, at the
+    least steep plane through the edge.  Points on the edge's line, as
+    the table's red tail is on x + y = 1, never form a face with it.
+    """
+    start = int(np.argmin(h))
+    dist = np.hypot(x - x[start], y - y[start])
+    dist[start] = 1.0
+    slope = (h - h[start]) / dist
+    slope[start] = np.inf
+    nxt = int(np.argmin(slope))
+    faces = set()
+    todo = [(start, nxt), (nxt, start)]
+    seen = set()
+    while todo:
+        edge = todo.pop()
+        if edge in seen:
             continue
-        pivot_col = -1
-        for j in range(n_structural):
-            if abs(tab[i, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col < 0:
-            keep[i] = False
-        else:
-            _pivot(tab, basis, i, pivot_col)
-    return keep
+        seen.add(edge)
+        u, v = edge
+        ex, ey = x[v] - x[u], y[v] - y[u]
+        length = np.hypot(ex, ey)
+        dx, dy = x - x[u], y - y[u]
+        offset = (ex * dy - ey * dx) / length  # distance left of the edge
+        cand = np.flatnonzero(offset > _COLLINEAR_TOL)
+        if len(cand) == 0:
+            continue
+        along = (ex * dx[cand] + ey * dy[cand]) / length ** 2
+        rise = (h[cand] - h[u] - along * (h[v] - h[u])) / offset[cand]
+        low = rise.min()
+        for w in cand[rise <= low + _TIE_RTOL * abs(low)].tolist():
+            tri = (u, v, w)
+            k = tri.index(min(tri))
+            faces.add(tri[k:] + tri[:k])
+            todo += [(w, v), (u, w)]
+    return sorted(faces)

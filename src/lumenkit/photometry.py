@@ -169,6 +169,7 @@ def per(model: SpectrumModel, v: LuminosityFunction, km: float,
     The tests hold the result to 1e-9 relative of adaptive Simpson run
     at rel_tol 1e-12 between the same breakpoints.
     """
+    check_positive("km", km, "lm/W")
     if isinstance(model, Line):
         if lam_min_nm is not None and lam_max_nm is not None:
             if not lam_min_nm <= model.lam_nm <= lam_max_nm:
@@ -198,6 +199,7 @@ def per_sweep_planck(t_min: float, t_max: float, step: float,
     if not 0 < t_min <= t_max < math.inf:
         raise DomainError(f"need 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]")
     check_positive("step", step, "K")
+    check_positive("km", km, "lm/W")
     temps = [t_min]
     while temps[-1] + step <= t_max * (1.0 + 1e-12):
         temps.append(temps[-1] + step)

@@ -1,6 +1,6 @@
 import pytest
 
-from lumenkit.cli import EXIT_CONFIG, main
+from lumenkit.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
 
 
 @pytest.mark.parametrize("argv", [
@@ -14,3 +14,11 @@ def test_non_finite_arguments_exit_with_config_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_maxper_just_outside_the_gamut_exits_infeasible(capsys):
+    # 1.75e-6 outside the purple edge, where in_gamut says no.
+    assert main(["maxper", "--x", "0.65", "--y", "0.2225"]) == EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("infeasible")

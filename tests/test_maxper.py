@@ -1,25 +1,31 @@
 import numpy as np
 import pytest
+from hull_oracle import lower_faces
 from lp_oracle import enumerate_basic_max
+from simplex_oracle import _PivotBudget, build_problem
 
 from lumenkit import (
     Chromaticity,
     DomainError,
     NonConvergenceError,
-    build_problem,
+    gamut_boundary,
     in_gamut,
     iso_per_scan,
     max_per,
-    simplex_solve,
     spectral_locus,
 )
-from lumenkit.maxper import _PivotBudget
+from lumenkit.maxper import _envelope
 
 KM = 683.0
 
 # Frozen scipy.optimize.linprog (HiGHS) value for the (1/3, 1/3) target
 # on the packaged table at 5 nm.
 WHITE_MAX_PER = 427.14610440694287
+
+# Points of the 0.0025 grid 1.8e-6 to 8.8e-6 outside the 380-775 nm purple
+# edge of the packaged table's gamut.
+JUST_OUTSIDE_PURPLE_EDGE = [(0.3, 0.0625), (0.3875, 0.1025), (0.475, 0.1425),
+                            (0.5625, 0.1825), (0.65, 0.2225)]
 
 
 def _locus_target(cmf, lam_nm):
@@ -68,7 +74,9 @@ def test_build_problem_stride(cmf):
 
 def test_build_problem_rejects_off_grid_spacing(cmf):
     with pytest.raises(DomainError):
-        build_problem(Chromaticity(0.3, 0.3), cmf, KM, delta_lambda_nm=7.0)
+        max_per(Chromaticity(0.3, 0.3), cmf, KM, delta_lambda_nm=7.0)
+    with pytest.raises(DomainError):
+        max_per(Chromaticity(0.3, 0.3), cmf, KM, delta_lambda_nm=800.0)
 
 
 def test_white_point_objective(cmf):
@@ -102,9 +110,8 @@ def test_reduced_instance_matches_enumeration(cmf, reduced_cmfs):
     rng = np.random.default_rng(47)
     for _ in range(10):
         target = _convex_target(small, rng)
-        p = build_problem(target, small, KM)
-        oracle = enumerate_basic_max(p)
-        solution = simplex_solve(p)
+        oracle = enumerate_basic_max(build_problem(target, small, KM))
+        solution = max_per(target, small, KM)
         assert solution.status == "optimal"
         assert oracle is not None
         assert solution.objective_value == pytest.approx(oracle, rel=1e-9)
@@ -117,9 +124,8 @@ def test_random_targets_against_enumeration(cmf, reduced_cmfs):
         assert len(table.wavelengths_nm) <= 8
         for _ in range(17):
             target = _convex_target(table, rng)
-            p = build_problem(target, table, KM)
-            oracle = enumerate_basic_max(p)
-            solution = simplex_solve(p)
+            oracle = enumerate_basic_max(build_problem(target, table, KM))
+            solution = max_per(target, table, KM)
             assert solution.status == "optimal"
             assert solution.objective_value == pytest.approx(oracle, rel=1e-9)
             assert len(solution.support) <= 3
@@ -131,9 +137,8 @@ def test_infeasibility_agrees_with_enumeration(reduced_cmfs):
     table = reduced_cmfs[0]
     for target in (Chromaticity(0.05, 0.05), Chromaticity(0.75, 0.25),
                    Chromaticity(0.9, 0.05)):
-        p = build_problem(target, table, KM)
-        assert enumerate_basic_max(p) is None
-        assert simplex_solve(p).status == "infeasible"
+        assert enumerate_basic_max(build_problem(target, table, KM)) is None
+        assert max_per(target, table, KM).status == "infeasible"
 
 
 def test_feasibility_matches_gamut(cmf):
@@ -247,3 +252,63 @@ def test_pivot_budget_raises():
     budget.spend()
     with pytest.raises(NonConvergenceError):
         budget.spend()
+
+
+@pytest.mark.parametrize("x, y", JUST_OUTSIDE_PURPLE_EDGE)
+def test_points_just_outside_the_purple_edge_are_infeasible(cmf, x, y):
+    target = Chromaticity(x, y)
+    assert not in_gamut(target, cmf)
+    solution = max_per(target, cmf, KM)
+    assert solution.status == "infeasible"
+    assert solution.objective_value is None
+
+
+def test_feasibility_is_in_gamut_on_the_grid(cmf):
+    # max_per, in_gamut and iso_per_scan share one definition of gamut.
+    grid = iso_per_scan(0.01, cmf, KM)
+    for x, y, value in grid.rows:
+        target = Chromaticity(x, y)
+        inside = in_gamut(target, cmf)
+        solution = max_per(target, cmf, KM)
+        assert (solution.status == "optimal") == inside, (x, y)
+        assert (value is not None) == (inside and x + y <= 1.0), (x, y)
+        if value is not None:
+            assert value == pytest.approx(solution.objective_value, rel=1e-12)
+
+
+def test_targets_within_the_boundary_tolerance_are_optimal(cmf):
+    # in_gamut takes in points up to 1e-12 outside an edge; no face
+    # contains them, so the face they are least outside of answers.
+    hull = gamut_boundary(cmf)
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        on_edge = Chromaticity(*(0.5 * (a + b)))
+        outside = Chromaticity(*(0.5 * (a + b) + 0.9e-12 * normal))
+        assert in_gamut(outside, cmf)
+        solution, reference = max_per(outside, cmf, KM), max_per(on_edge, cmf, KM)
+        assert solution.status == reference.status == "optimal"
+        assert solution.objective_value == pytest.approx(reference.objective_value, rel=1e-6)
+        assert [lam for lam, _ in solution.support] == [lam for lam, _ in reference.support]
+
+
+@pytest.mark.parametrize("delta_lambda", [5.0, 10.0, 15.0, 20.0])
+def test_envelope_faces_match_brute_force(cmf, delta_lambda):
+    stride = int(delta_lambda / cmf.spacing_nm)
+    faces = {frozenset(corners) for corners in
+             _envelope(cmf, delta_lambda).wavelengths_nm.tolist()}
+    assert faces == lower_faces(cmf, stride)
+    if delta_lambda == 5.0:
+        assert len(faces) == 78
+
+
+def test_envelope_faces_match_brute_force_on_reduced_tables(reduced_cmfs):
+    for table in reduced_cmfs:
+        faces = {frozenset(corners) for corners in
+                 _envelope(table, None).wavelengths_nm.tolist()}
+        assert faces == lower_faces(table, 1)
+
+
+def test_envelope_is_built_once_per_stride(cmf):
+    assert _envelope(cmf, 15.0) is _envelope(cmf, 15.0)
+    assert _envelope(cmf, None) is _envelope(cmf, 5.0)
+    assert _envelope(cmf, 15.0) is not _envelope(cmf, 5.0)

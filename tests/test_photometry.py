@@ -5,6 +5,7 @@ import pytest
 from simpson_oracle import ACCURACY_SOURCES, oracle_per, simpson
 
 from lumenkit import (
+    Chromaticity,
     DomainError,
     Flat,
     Gaussian,
@@ -20,12 +21,15 @@ from lumenkit import (
     ZeroSpectrumError,
     compute_km,
     integrate,
+    iso_per_scan,
     km_denominator,
     luminosity,
     luminous_flux,
+    max_per,
     per,
     per_sweep_planck,
     planck_radiance,
+    tristimulus,
 )
 from lumenkit.constants import NM_TO_M
 from lumenkit.photometry import KM_SI, PLATINUM_LUMINANCE, PLATINUM_POINT_K, V_BAND_NM
@@ -251,3 +255,19 @@ def test_km_denominator_matches_simpson_oracle():
     oracle = simpson(lambda lam: planck_radiance(lam, PLATINUM_POINT_K) * luminosity(PHOTOPIC, lam),
                      *V_BAND_NM) * NM_TO_M
     assert km_denominator() == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("km", [0.0, -683.0, math.nan, math.inf])
+def test_bad_km_is_domain_error(cmf, km):
+    calls = [
+        lambda: per(Planck(5000.0), PHOTOPIC, km),
+        lambda: per(Line(555.0), PHOTOPIC, km),
+        lambda: tristimulus(Planck(5000.0), cmf, km),
+        lambda: tristimulus(Line(555.0), cmf, km),
+        lambda: max_per(Chromaticity(0.3, 0.3), cmf, km),
+        lambda: iso_per_scan(0.05, cmf, km),
+        lambda: per_sweep_planck(3000.0, 6000.0, 500.0, PHOTOPIC, km),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="km"):
+            call()
