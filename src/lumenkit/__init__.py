@@ -21,11 +21,9 @@ from .colorimetry import (
     spectral_locus,
     tristimulus,
 )
-from .constants import CODATA, PhysicalConstants
 from .errors import (
     DomainError,
     LumenError,
-    NonConvergenceError,
     ParseError,
     UnsupportedModelError,
     ValidationError,
@@ -52,17 +50,10 @@ from .photometry import (
     compute_km,
     km_denominator,
     luminosity,
-    luminous_flux,
     per,
     per_sweep_planck,
 )
-from .quadrature import (
-    CubicSpline,
-    IntegrationSpec,
-    integrate,
-    spline_fit,
-    total_planck_radiance,
-)
+from .quadrature import spline_fit, total_planck_radiance
 from .spectral import (
     Flat,
     Gaussian,
@@ -74,7 +65,6 @@ from .spectral import (
     TruncatedPlanck,
     energy_density_omega,
     evaluate_spectrum,
-    model_support,
     photon_number_density,
     planck_radiance,
 )

@@ -1,34 +1,25 @@
 """Command-line front end: every computation as a subcommand emitting
 plot-ready CSV on stdout (or ``--output``).
 
-Exit codes: 0 success, 2 usage/config error, 3 numeric non-convergence,
-4 input parse error, 5 infeasible chromaticity target.
+Exit codes: 0 success, 2 usage/config error, 4 input parse error,
+5 infeasible chromaticity target.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .colorimetry import (
     Chromaticity,
     default_cmf_path,
     chromaticity,
     load_cmf,
+    read_csv,
     tristimulus,
 )
-from .errors import (
-    DomainError,
-    LumenError,
-    NonConvergenceError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DomainError, LumenError, ParseError, ValidationError
 from .maxper import iso_per_scan, max_per
 from .photometry import (
     KM_SI,
@@ -44,7 +35,6 @@ from .spectral import Flat, Gaussian, Line, Planck, Sampled, SampledSpectrum, Tr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 EXIT_PARSE = 4
 EXIT_INFEASIBLE = 5
 
@@ -54,18 +44,6 @@ CMF_PATH_ENV = "LUMEN_CMF_PATH"
 # the conventional visible range.
 DEFAULT_BAND = (380.0, 780.0)
 
-# Sentinel for "--planck given without a temperature" (legal only
-# together with --sweep).
-_NO_TEMP = float("nan")
-
-
-@dataclass
-class RunConfig:
-    km_mode: str          # "683" or "computed"
-    v_mode: str           # photopic_analytic | scotopic_analytic | tabulated
-    cmf_path: str
-    output: str | None
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -73,27 +51,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        km_mode=args.km,
-        v_mode=args.v_mode,
-        cmf_path=args.cmf or os.environ.get(CMF_PATH_ENV) or default_cmf_path(),
-        output=args.output,
-    )
+    args.cmf = args.cmf or os.environ.get(CMF_PATH_ENV) or default_cmf_path()
     try:
-        lines = args.handler(cfg, args)
+        lines = args.handler(args)
     except _Infeasible as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, LumenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(cfg, lines)
+    _emit(args.output, lines)
     return EXIT_OK
 
 
@@ -163,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_source_flags(p):
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--planck", nargs="?", type=float, const=_NO_TEMP, metavar="T",
+    # A bare --planck (True) is legal only together with --sweep.
+    group.add_argument("--planck", nargs="?", type=float, const=True, metavar="T",
                        help="black body at T kelvin")
     group.add_argument("--truncated-planck", nargs=3, type=float,
                        metavar=("T", "MIN", "MAX"),
@@ -185,19 +156,22 @@ def _add_source_flags(p):
 # --- subcommand handlers (each returns the CSV lines to emit) ---
 
 
-def _cmd_km(cfg, args):
-    if cfg.v_mode != "photopic_analytic":
+def _cmd_km(args):
+    if args.v_mode != "photopic_analytic":
         raise DomainError("the candela calibration is defined photopically; "
                           "use --v-mode photopic_analytic")
     return [f"km_lm_per_w,{_fmt(compute_km())}"]
 
 
-def _cmd_per(cfg, args):
-    v = _make_v(cfg)
-    km = _km_value(cfg)
+def _cmd_per(args):
+    v = _make_v(args)
+    km = _km_value(args)
     if args.sweep is not None:
         if args.planck is None:
             raise DomainError("--sweep requires --planck")
+        if args.planck is not True:
+            raise DomainError("--sweep takes its temperatures from TMIN TMAX STEP; "
+                              "give --planck without T")
         tmin, tmax, step = args.sweep
         sweep = per_sweep_planck(tmin, tmax, step, v, km)
         return ["T_K,per_lm_per_w"] + [f"{_fmt(t)},{_fmt(p)}" for t, p in sweep.rows]
@@ -206,32 +180,32 @@ def _cmd_per(cfg, args):
     return ["per_lm_per_w,efficiency", f"{_fmt(result.per)},{_fmt(result.efficiency)}"]
 
 
-def _cmd_vlambda(cfg, args):
-    v = _make_v(cfg)
+def _cmd_vlambda(args):
+    v = _make_v(args)
     lines = ["lambda_nm,v"]
     for lam in range(380, 781):
         lines.append(f"{_fmt(float(lam))},{_fmt(luminosity(v, float(lam)))}")
     return lines
 
 
-def _cmd_chroma(cfg, args):
+def _cmd_chroma(args):
     model, lmin, lmax = _make_model(args)
-    cmf = _load_cmf(cfg)
-    point = chromaticity(tristimulus(model, cmf, _km_value(cfg), lmin, lmax))
+    cmf = load_cmf(args.cmf)
+    point = chromaticity(tristimulus(model, cmf, _km_value(args), lmin, lmax))
     return ["x,y", f"{_fmt(point.x)},{_fmt(point.y)}"]
 
 
-def _cmd_locus(cfg, args):
+def _cmd_locus(args):
     from .colorimetry import planckian_locus
 
-    cmf = _load_cmf(cfg)
+    cmf = load_cmf(args.cmf)
     rows = planckian_locus(args.tmin, args.tmax, args.step, cmf)
     return ["T_K,x,y"] + [f"{_fmt(t)},{_fmt(c.x)},{_fmt(c.y)}" for t, c in rows]
 
 
-def _cmd_maxper(cfg, args):
-    cmf = _load_cmf(cfg)
-    solution = max_per(Chromaticity(args.x, args.y), cmf, _km_value(cfg),
+def _cmd_maxper(args):
+    cmf = load_cmf(args.cmf)
+    solution = max_per(Chromaticity(args.x, args.y), cmf, _km_value(args),
                        args.delta_lambda)
     if solution.status == "infeasible":
         raise _Infeasible("infeasible: chromaticity outside spectral gamut")
@@ -240,9 +214,9 @@ def _cmd_maxper(cfg, args):
     return lines
 
 
-def _cmd_isoper(cfg, args):
-    cmf = _load_cmf(cfg)
-    grid = iso_per_scan(args.grid_step, cmf, _km_value(cfg), args.delta_lambda)
+def _cmd_isoper(args):
+    cmf = load_cmf(args.cmf)
+    grid = iso_per_scan(args.grid_step, cmf, _km_value(args), args.delta_lambda)
     lines = ["x,y,max_per"]
     lines += [f"{_fmt(x)},{_fmt(y)},{_fmt(v)}" for x, y, v in grid.rows if v is not None]
     return lines
@@ -259,39 +233,34 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _emit(cfg, lines):
+def _emit(output, lines):
     text = "\n".join(lines) + "\n"
-    if cfg.output is None:
+    if output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as f:
+        with open(output, "w", encoding="utf-8", newline="") as f:
             f.write(text)
 
 
-def _km_value(cfg) -> float:
-    return compute_km() if cfg.km_mode == "computed" else KM_SI
+def _km_value(args) -> float:
+    return compute_km() if args.km == "computed" else KM_SI
 
 
-def _make_v(cfg):
-    if cfg.v_mode == "photopic_analytic":
+def _make_v(args):
+    if args.v_mode == "photopic_analytic":
         return PHOTOPIC
-    if cfg.v_mode == "scotopic_analytic":
+    if args.v_mode == "scotopic_analytic":
         return SCOTOPIC
-    return Tabulated.from_cmf(_load_cmf(cfg))
-
-
-def _load_cmf(cfg):
-    return load_cmf(cfg.cmf_path)
+    return Tabulated.from_cmf(load_cmf(args.cmf))
 
 
 def _make_model(args):
     """Model plus integration bounds from the source flags."""
     lmin, lmax = args.lmin, args.lmax
     if args.planck is not None:
-        t = args.planck
-        if t != t:  # bare --planck is only meaningful with --sweep
+        if args.planck is True:
             raise DomainError("--planck needs a temperature (or use --sweep)")
-        return Planck(t), lmin, lmax
+        return Planck(args.planck), lmin, lmax
     if args.truncated_planck is not None:
         t, lo, hi = args.truncated_planck
         return TruncatedPlanck(t, lo, hi), lmin, lmax
@@ -312,33 +281,9 @@ def _make_model(args):
 
 def _load_spectrum(path) -> SampledSpectrum:
     """Read a sampled spectrum CSV (header ``wavelength_nm,power``)."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = None
-        wavelengths = []
-        powers = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if header is None:
-                header = tuple(name.strip() for name in row)
-                if header != ("wavelength_nm", "power"):
-                    raise ParseError(
-                        f"expected header wavelength_nm,power, got {','.join(header)}",
-                        line=line_no,
-                    )
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=line_no)
-            try:
-                wavelengths.append(float(row[0]))
-                powers.append(float(row[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line_no) from None
-    if header is None:
-        raise ParseError("empty spectrum file", line=1)
+    data = read_csv(path, ("wavelength_nm", "power"))
     try:
-        return SampledSpectrum(np.array(wavelengths), np.array(powers))
+        return SampledSpectrum(data[:, 0], data[:, 1])
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 

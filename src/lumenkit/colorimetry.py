@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, ZeroSpectrumError, check_positive
 from .quadrature import panel_rule
-from .spectral import Line, SpectrumModel
+from .spectral import Line, Planck, SpectrumModel, temperature_ladder
 
 CMF_COLUMNS = ("wavelength_nm", "xbar", "ybar", "zbar")
 _DATA_FILE = "cie_1931_2deg_5nm.csv"
@@ -29,9 +29,13 @@ _DATA_FILE = "cie_1931_2deg_5nm.csv"
 _BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmfTable:
-    """Color matching functions on a uniform ascending wavelength grid."""
+    """Color matching functions on a uniform ascending wavelength grid.
+
+    Tables compare and hash by identity, as the per-table caches below
+    assume.
+    """
 
     wavelengths_nm: np.ndarray
     xbar: np.ndarray
@@ -124,11 +128,13 @@ class Chromaticity:
             raise DomainError(f"chromaticity coordinates must be nonnegative, got {self}")
 
 
-def load_cmf(source) -> CmfTable:
-    """Load a CMF table from a path, byte stream, or text stream.
+def read_csv(source, columns) -> np.ndarray:
+    """Numeric rows of a CSV from a path, byte stream, or text stream, as
+    an ``(n, len(columns))`` array in file order.
 
-    Expected CSV: UTF-8, header ``wavelength_nm,xbar,ybar,zbar``, one
-    numeric row per wavelength, LF or CRLF line endings.
+    Expected CSV: UTF-8, the header ``columns``, then one row of
+    ``len(columns)`` numbers per line; blank lines are skipped, LF or CRLF
+    line endings.  Raises :class:`ParseError` with the 1-based line number.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -144,23 +150,30 @@ def load_cmf(source) -> CmfTable:
             continue
         if header is None:
             header = tuple(name.strip() for name in row)
-            if header != CMF_COLUMNS:
+            if header != tuple(columns):
                 raise ParseError(
-                    f"expected header {','.join(CMF_COLUMNS)}, got {','.join(header)}",
+                    f"expected header {','.join(columns)}, got {','.join(header)}",
                     line=line_no,
                 )
             continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=line_no)
+        if len(row) != len(columns):
+            raise ParseError(f"expected {len(columns)} fields, got {len(row)}", line=line_no)
         try:
             rows.append([float(field) for field in row])
         except ValueError as exc:
             raise ParseError(str(exc), line=line_no) from None
     if header is None:
-        raise ParseError("empty CMF stream", line=1)
-    if not rows:
+        raise ParseError("empty CSV stream", line=1)
+    return np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
+def load_cmf(source) -> CmfTable:
+    """Load a CMF table, CSV with header ``wavelength_nm,xbar,ybar,zbar``,
+    from a path, byte stream, or text stream (see :func:`read_csv`)."""
+    data = read_csv(source, CMF_COLUMNS)
+    if not len(data):
         raise ParseError("CMF stream has a header but no data rows", line=2)
-    data = np.array(sorted(rows, key=lambda r: r[0]))
+    data = data[np.argsort(data[:, 0], kind="stable")]
     return CmfTable(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
@@ -231,17 +244,8 @@ def chromaticity(t: Tristimulus) -> Chromaticity:
 def planckian_locus(t_min: float, t_max: float, step: float,
                     cmf: CmfTable) -> list[tuple[float, Chromaticity]]:
     """Chromaticity of Planck(T) for T = t_min, t_min + step, ... <= t_max."""
-    if not 0 < t_min <= t_max < math.inf:
-        raise DomainError(f"need 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]")
-    check_positive("step", step, "K")
-    from .spectral import Planck
-
-    out = []
-    t = t_min
-    while t <= t_max * (1.0 + 1e-12):
-        out.append((t, chromaticity(tristimulus(Planck(t), cmf, km=1.0))))
-        t += step
-    return out
+    return [(t, chromaticity(tristimulus(Planck(t), cmf, km=1.0)))
+            for t in temperature_ladder(t_min, t_max, step)]
 
 
 def spectral_locus(cmf: CmfTable) -> np.ndarray:

@@ -1,33 +1,12 @@
 """Physical constants (CODATA 2018 exact values) and unit helpers."""
 
-from __future__ import annotations
+import math
 
-from dataclasses import dataclass
-
-from .errors import DomainError
+H = 6.62607015e-34   # Planck constant, J s
+C = 2.99792458e8     # speed of light, m/s
+K_B = 1.380649e-23   # Boltzmann constant, J/K
+HBAR = H / (2.0 * math.pi)
 
 # Wavelengths cross module boundaries in nm; SI conversion happens only
 # inside Planck-law evaluation.
 NM_TO_M = 1e-9
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Planck constant, speed of light and Boltzmann constant in SI units."""
-
-    h: float = 6.62607015e-34   # J s
-    c: float = 2.99792458e8     # m/s
-    k_B: float = 1.380649e-23   # J/K
-
-    def __post_init__(self):
-        if self.h <= 0 or self.c <= 0 or self.k_B <= 0:
-            raise DomainError("physical constants must be strictly positive")
-
-    @property
-    def hbar(self) -> float:
-        import math
-
-        return self.h / (2.0 * math.pi)
-
-
-CODATA = PhysicalConstants()

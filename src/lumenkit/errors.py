@@ -12,10 +12,6 @@ class DomainError(LumenError, ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
-class NonConvergenceError(LumenError, RuntimeError):
-    """An iterative numeric procedure hit its depth or iteration limit."""
-
-
 class ZeroSpectrumError(LumenError, ValueError):
     """A spectrum is identically zero where a nonzero integral is required."""
 

@@ -7,7 +7,6 @@ power spectrum: K_m * integral(P V) / integral(P), in lm/W.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -16,7 +15,8 @@ import numpy as np
 from .constants import NM_TO_M
 from .errors import DomainError, ZeroSpectrumError, check_positive
 from .quadrature import panel_rule, total_planck_radiance
-from .spectral import GAUSS_REACH_WIDTHS, Gaussian, Line, Planck, SpectrumModel
+from .spectral import (GAUSS_REACH_WIDTHS, Gaussian, Line, Planck, SpectrumModel,
+                       temperature_ladder)
 
 # SI-adopted maximum luminous efficacy; also the efficiency normalizer.
 KM_SI = 683.0
@@ -196,27 +196,11 @@ def per(model: SpectrumModel, v: LuminosityFunction, km: float,
 def per_sweep_planck(t_min: float, t_max: float, step: float,
                      v: LuminosityFunction, km: float) -> PlanckSweep:
     """PER of Planck(T) for T = t_min, t_min + step, ... up to t_max."""
-    if not 0 < t_min <= t_max < math.inf:
-        raise DomainError(f"need 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]")
-    check_positive("step", step, "K")
+    temps = temperature_ladder(t_min, t_max, step)
     check_positive("km", km, "lm/W")
-    temps = [t_min]
-    while temps[-1] + step <= t_max * (1.0 + 1e-12):
-        temps.append(temps[-1] + step)
     rows = tuple((t, per(Planck(t), v, km).per) for t in temps)
     peak_t, peak_per = max(rows, key=lambda row: row[1])
     return PlanckSweep(rows=rows, peak_t_k=peak_t, peak_per=peak_per)
-
-
-def luminous_flux(model: SpectrumModel, radiant_power_w: float,
-                  v: LuminosityFunction, km: float,
-                  lam_min_nm: float | None = None, lam_max_nm: float | None = None) -> float:
-    """Lumens emitted by ``model`` radiating ``radiant_power_w`` watts."""
-    if radiant_power_w < 0:
-        raise DomainError(f"radiant power must be nonnegative, got {radiant_power_w}")
-    if radiant_power_w == 0.0:
-        return 0.0
-    return radiant_power_w * per(model, v, km, lam_min_nm, lam_max_nm).per
 
 
 def _result(value: float) -> EfficacyResult:

@@ -1,30 +1,24 @@
-"""Spectral quadrature: the fixed Gauss-Legendre panel rule, adaptive
-Simpson, the closed-form Planck integral, and natural cubic splines.
+"""Spectral quadrature: the fixed Gauss-Legendre panel rule, the
+closed-form Planck integral, and natural cubic splines.
 
 Every spectral integral in the package (PER, tristimulus values, K_m)
 takes its nodes and weights from :func:`panel_rule`: 5-point
 Gauss-Legendre on panels at most ``MAX_PANEL_NM`` wide, split at every
 point where an integrand factor is not smooth (CMF and tabulated-V
-knots, support edges, spline knots).  Adaptive Simpson
-(:func:`integrate`) is kept as the independent oracle the tests check
-that rule against.  Semi-infinite Planck integrals never go through
-either: the total radiance has a closed form (``total_planck_radiance``)
-and eye-weighted numerators have compact effective support, so callers
-integrate those on finite intervals.
+knots, support edges, spline knots).  Semi-infinite Planck integrals
+never go through it: the total radiance has a closed form
+(``total_planck_radiance``) and eye-weighted numerators have compact
+effective support, so callers integrate those on finite intervals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA
-from .errors import DomainError, NonConvergenceError
-
-DEFAULT_REL_TOL = 1e-8
-DEFAULT_MAX_DEPTH = 40
+from .constants import C, H, K_B
+from .errors import DomainError
 
 # Widest panel of the fixed rule.  The packaged CMF table steps by 5 nm;
 # on 5 nm panels, 5-point Gauss-Legendre (exact to degree 9) keeps every
@@ -39,35 +33,6 @@ _GL_WA = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
 _GL_WB = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
 _GL_NODES = np.array([-_GL_B, -_GL_A, 0.0, _GL_A, _GL_B])
 _GL_WEIGHTS = np.array([_GL_WB, _GL_WA, 128.0 / 225.0, _GL_WA, _GL_WB])
-
-# Levels of unconditional pre-subdivision.  Guards against a narrow
-# feature (e.g. a 0.1 nm line approximant) slipping between the five
-# samples of a single Simpson panel.
-_PRESPLIT_LEVELS = 6
-
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Finite integration interval plus accuracy controls.
-
-    Attributes:
-        a, b: interval endpoints (nm for spectral work, but unit-agnostic).
-        rel_tol: target relative error, 0 < rel_tol < 1.
-        max_depth: bisection levels before giving up.
-    """
-
-    a: float
-    b: float
-    rel_tol: float = DEFAULT_REL_TOL
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError(f"integration interval requires a < b, got [{self.a}, {self.b}]")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
 
 
 def panel_rule(lo: float, hi: float, *breakpoints) -> tuple[np.ndarray, np.ndarray]:
@@ -97,64 +62,6 @@ def panel_rule(lo: float, hi: float, *breakpoints) -> tuple[np.ndarray, np.ndarr
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _simpson(h6, fa, fm, fb):
-    return h6 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth_left):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    h6 = (b - a) / 12.0
-    left = _simpson(h6, fa, flm, fm)
-    right = _simpson(h6, fm, frm, fb)
-    err = (left + right - whole) / 15.0
-    if abs(err) <= tol:
-        return left + right + err
-    if depth_left <= 0:
-        raise NonConvergenceError(
-            f"adaptive Simpson did not converge on [{a}, {b}] (depth exhausted)"
-        )
-    half = tol / 2.0
-    return (_adapt(f, a, m, fa, flm, fm, left, half, depth_left - 1)
-            + _adapt(f, m, b, fm, frm, fb, right, half, depth_left - 1))
-
-
-def integrate(f, spec: IntegrationSpec) -> float:
-    """Integrate ``f`` over ``[spec.a, spec.b]`` by adaptive Simpson.
-
-    No spectral computation calls this; it is the oracle that tests check
-    :func:`panel_rule` against.
-
-    The estimated error is kept below ``rel_tol`` relative to the
-    integral of |f| (so cancelling integrands do not force impossible
-    relative accuracy).  Raises :class:`NonConvergenceError` when
-    ``max_depth`` bisection levels are exhausted; integrands with jump
-    discontinuities should be split at the jump by the caller.
-    """
-    a, b = spec.a, spec.b
-    presplit = min(_PRESPLIT_LEVELS, spec.max_depth - 1)
-    n = 1 << presplit
-    xs = np.linspace(a, b, 2 * n + 1)
-    fs = [f(x) for x in xs]
-    h6 = (b - a) / (6.0 * n)
-    panels = []
-    scale = 0.0
-    for i in range(n):
-        fa, fm, fb = fs[2 * i], fs[2 * i + 1], fs[2 * i + 2]
-        panels.append((xs[2 * i], xs[2 * i + 2], fa, fm, fb,
-                       _simpson(h6, fa, fm, fb)))
-        scale += _simpson(h6, abs(fa), abs(fm), abs(fb))
-    if scale == 0.0:
-        return 0.0
-    tol = spec.rel_tol * scale / n
-    depth_left = spec.max_depth - presplit
-    return sum(_adapt(f, pa, pb, fa, fm, fb, s, tol, depth_left)
-               for pa, pb, fa, fm, fb, s in panels)
-
-
 def total_planck_radiance(t_k: float) -> float:
     """Exact value of the full-range Planck radiance integral, W m^-2 sr^-1.
 
@@ -162,8 +69,8 @@ def total_planck_radiance(t_k: float) -> float:
     """
     if t_k <= 0:
         raise DomainError(f"temperature must be positive, got {t_k}")
-    kt = CODATA.k_B * t_k
-    return (2.0 * math.pi ** 4 / 15.0) * kt ** 4 / (CODATA.h ** 3 * CODATA.c ** 2)
+    kt = K_B * t_k
+    return (2.0 * math.pi ** 4 / 15.0) * kt ** 4 / (H ** 3 * C ** 2)
 
 
 class CubicSpline:
@@ -193,17 +100,6 @@ class CubicSpline:
              + (h * h / 6.0) * ((u ** 3 - u) * self._d2[idx]
                                 + (t ** 3 - t) * self._d2[idx + 1]))
         return float(y[0]) if scalar else y
-
-    def coefficients(self):
-        """Per-interval cubic coefficients (a, b, c, d) in (x - x_i) powers."""
-        h = np.diff(self.knots)
-        y0, y1 = self.values[:-1], self.values[1:]
-        m0, m1 = self._d2[:-1], self._d2[1:]
-        a = y0
-        b = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        c = m0 / 2.0
-        d = (m1 - m0) / (6.0 * h)
-        return np.stack([a, b, c, d], axis=1)
 
 
 def spline_fit(wavelengths_nm, values) -> CubicSpline:

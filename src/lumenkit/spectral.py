@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import CODATA, NM_TO_M
+from .constants import C, H, HBAR, K_B, NM_TO_M
 from .errors import DomainError, UnsupportedModelError, check_positive
 from .quadrature import spline_fit
 
@@ -26,8 +26,8 @@ from .quadrature import spline_fit
 # below the smallest normal double long before that, so return 0.
 _EXP_ARG_MAX = 700.0
 
-_HC = CODATA.h * CODATA.c
-_TWO_HC2 = 2.0 * CODATA.h * CODATA.c ** 2
+_HC = H * C
+_TWO_HC2 = 2.0 * H * C ** 2
 
 # A Gaussian emitter is numerically zero beyond this many widths of its
 # peak (exp(-112.5) < 1e-48).
@@ -38,7 +38,7 @@ _GAUSS_GRID = np.arange(-GAUSS_REACH_WIDTHS, GAUSS_REACH_WIDTHS + 1.0)
 def _planck(lam_nm, t_k: float):
     """Vectorised f_B(lambda); the one place the Planck law is written."""
     lam = lam_nm * NM_TO_M
-    x = _HC / (lam * CODATA.k_B * t_k)
+    x = _HC / (lam * K_B * t_k)
     return np.where(x > _EXP_ARG_MAX, 0.0,
                     (_TWO_HC2 / lam ** 5) / np.expm1(np.minimum(x, _EXP_ARG_MAX)))
 
@@ -59,7 +59,7 @@ def photon_number_density(omega: float, t_k: float) -> float:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if t_k <= 0:
         raise DomainError(f"temperature must be positive, got {t_k} K")
-    x = CODATA.hbar * omega / (CODATA.k_B * t_k)
+    x = HBAR * omega / (K_B * t_k)
     if x > _EXP_ARG_MAX:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -68,7 +68,7 @@ def photon_number_density(omega: float, t_k: float) -> float:
 def energy_density_omega(omega: float, t_k: float) -> float:
     """Spectral energy density (omega^2 / pi^2 c^3) hbar omega n(omega)."""
     occupancy = photon_number_density(omega, t_k)
-    return (omega ** 2 / (math.pi ** 2 * CODATA.c ** 3)) * CODATA.hbar * omega * occupancy
+    return (omega ** 2 / (math.pi ** 2 * C ** 3)) * HBAR * omega * occupancy
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,18 @@ def evaluate_spectrum(model: SpectrumModel, lam_nm: float) -> float:
     return float(model.density(np.float64(lam_nm)))
 
 
-def model_support(model: SpectrumModel) -> tuple[float, float] | None:
-    """Wavelength interval outside which the model is identically zero.
+def temperature_ladder(t_min: float, t_max: float, step: float) -> list[float]:
+    """Temperatures t_min + k * step, k = 0, 1, ..., up to t_max (K), with
+    1e-12 relative slack at t_max.
 
-    ``None`` for models without compact support (Planck, Gaussian).
+    The count is fixed before any temperature is formed, so the last rung
+    carries one rounding, not the sum of k of them.
     """
-    return model.support()
+    if not 0 < t_min <= t_max < math.inf:
+        raise DomainError(f"need 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]")
+    check_positive("step", step, "K")
+    count = int((t_max - t_min + 1e-12 * t_max) // step) + 1
+    return [t_min + k * step for k in range(count)]
 
 
 def _check_band(lam_min, lam_max):

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from simpson_oracle import NonConvergenceError
 
-from lumenkit import DomainError, LpSolution, NonConvergenceError
+from lumenkit import DomainError, LpSolution
 from lumenkit.maxper import SUPPORT_RTOL
 
 # Phase-1 objective below this (on max-norm-equilibrated rows) means

@@ -1,8 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
-from simpson_oracle import ACCURACY_SOURCES, oracle_chromaticity
+from simpson_oracle import ACCURACY_SOURCES, IntegrationSpec, integrate, oracle_chromaticity
 
 from lumenkit import (
     Chromaticity,
@@ -11,6 +12,7 @@ from lumenkit import (
     Flat,
     Gaussian,
     Line,
+    PHOTOPIC,
     ParseError,
     Planck,
     Sampled,
@@ -23,12 +25,11 @@ from lumenkit import (
     default_cmf_path,
     gamut_boundary,
     in_gamut,
-    integrate,
-    IntegrationSpec,
     iso_per_scan,
     load_cmf,
     max_per,
     per,
+    per_sweep_planck,
     planckian_locus,
     spectral_locus,
     tristimulus,
@@ -101,6 +102,13 @@ def test_load_cmf_reports_parse_line():
 def test_load_cmf_rejects_missing_columns():
     with pytest.raises(ParseError):
         load_cmf(io.StringIO("wavelength_nm,xbar,ybar\n380,0.1,0.1\n"))
+
+
+def test_tables_compare_and_hash_by_identity():
+    first, second = load_cmf(default_cmf_path()), load_cmf(default_cmf_path())
+    assert first == first
+    assert first != second
+    assert {first: 1, second: 2}[first] == 1
 
 
 # --- tristimulus / chromaticity ---
@@ -193,6 +201,25 @@ def test_locus_x_decreases_with_temperature(cmf):
     rows = planckian_locus(2000.0, 10000.0, 500.0, cmf)
     xs = [point.x for _, point in rows]
     assert all(b < a for a, b in zip(xs, xs[1:]))
+
+
+def test_temperature_ladders_end_on_t_max(cmf):
+    locus = [t for t, _ in planckian_locus(1000.0, 1001.0, 0.1, cmf)]
+    sweep = [t for t, _ in per_sweep_planck(1000.0, 1001.0, 0.1, PHOTOPIC, 683.0).rows]
+    for temps in (locus, sweep):
+        assert len(temps) == 11
+        assert temps[-1] == 1001.0
+
+
+@pytest.mark.parametrize("t_min, t_max, step", [
+    (2000.0, 1000.0, 100.0), (math.nan, 2000.0, 100.0), (1000.0, math.nan, 100.0),
+    (1000.0, math.inf, 100.0), (-math.inf, 2000.0, 100.0), (1000.0, 2000.0, 0.0),
+])
+def test_temperature_ladders_reject_bad_bounds(cmf, t_min, t_max, step):
+    with pytest.raises(DomainError):
+        planckian_locus(t_min, t_max, step, cmf)
+    with pytest.raises(DomainError):
+        per_sweep_planck(t_min, t_max, step, PHOTOPIC, 683.0)
 
 
 def test_locus_red_to_blue_ordering(cmf):

@@ -3,11 +3,11 @@ import pytest
 from hull_oracle import lower_faces
 from lp_oracle import enumerate_basic_max
 from simplex_oracle import _PivotBudget, build_problem
+from simpson_oracle import NonConvergenceError
 
 from lumenkit import (
     Chromaticity,
     DomainError,
-    NonConvergenceError,
     gamut_boundary,
     in_gamut,
     iso_per_scan,

