@@ -3,6 +3,14 @@ plot-ready CSV on stdout (or ``--output``).
 
 Exit codes: 0 success, 2 usage/config error, 4 input parse error,
 5 infeasible chromaticity target.
+
+Each ``lumen`` run is a new process, so its start-up is most of what a
+subcommand costs.  Each handler therefore imports the layers it uses when
+it runs: ``lumen km`` loads neither :mod:`~lumenkit.colorimetry` nor
+:mod:`~lumenkit.maxper`, and ``lumen chroma`` does not load
+:mod:`~lumenkit.photometry`.  Only a handler that reads a CMF table
+resolves its path and loads it, and only ``--km computed`` imports
+:func:`~lumenkit.photometry.compute_km`.
 """
 
 from __future__ import annotations
@@ -11,27 +19,8 @@ import argparse
 import os
 import sys
 
-from .colorimetry import (
-    Chromaticity,
-    default_cmf_path,
-    chromaticity,
-    load_cmf,
-    read_csv,
-    tristimulus,
-)
+from .constants import KM_SI
 from .errors import DomainError, LumenError, ParseError, ValidationError
-from .maxper import iso_per_scan, max_per
-from .photometry import (
-    KM_SI,
-    PHOTOPIC,
-    SCOTOPIC,
-    Tabulated,
-    compute_km,
-    luminosity,
-    per,
-    per_sweep_planck,
-)
-from .spectral import Flat, Gaussian, Line, Planck, Sampled, SampledSpectrum, TruncatedPlanck
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,7 +40,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.cmf = args.cmf or os.environ.get(CMF_PATH_ENV) or default_cmf_path()
     try:
         lines = args.handler(args)
     except _Infeasible as exc:
@@ -157,6 +145,8 @@ def _add_source_flags(p):
 
 
 def _cmd_km(args):
+    from .photometry import compute_km
+
     if args.v_mode != "photopic_analytic":
         raise DomainError("the candela calibration is defined photopically; "
                           "use --v-mode photopic_analytic")
@@ -164,6 +154,8 @@ def _cmd_km(args):
 
 
 def _cmd_per(args):
+    from .photometry import per, per_sweep_planck
+
     v = _make_v(args)
     km = _km_value(args)
     if args.sweep is not None:
@@ -181,6 +173,8 @@ def _cmd_per(args):
 
 
 def _cmd_vlambda(args):
+    from .photometry import luminosity
+
     v = _make_v(args)
     lines = ["lambda_nm,v"]
     for lam in range(380, 781):
@@ -189,8 +183,10 @@ def _cmd_vlambda(args):
 
 
 def _cmd_chroma(args):
+    from .colorimetry import chromaticity, tristimulus
+
     model, lmin, lmax = _make_model(args)
-    cmf = load_cmf(args.cmf)
+    cmf = _load_cmf(args)
     point = chromaticity(tristimulus(model, cmf, _km_value(args), lmin, lmax))
     return ["x,y", f"{_fmt(point.x)},{_fmt(point.y)}"]
 
@@ -198,13 +194,16 @@ def _cmd_chroma(args):
 def _cmd_locus(args):
     from .colorimetry import planckian_locus
 
-    cmf = load_cmf(args.cmf)
+    cmf = _load_cmf(args)
     rows = planckian_locus(args.tmin, args.tmax, args.step, cmf)
     return ["T_K,x,y"] + [f"{_fmt(t)},{_fmt(c.x)},{_fmt(c.y)}" for t, c in rows]
 
 
 def _cmd_maxper(args):
-    cmf = load_cmf(args.cmf)
+    from .colorimetry import Chromaticity
+    from .maxper import max_per
+
+    cmf = _load_cmf(args)
     solution = max_per(Chromaticity(args.x, args.y), cmf, _km_value(args),
                        args.delta_lambda)
     if solution.status == "infeasible":
@@ -215,7 +214,9 @@ def _cmd_maxper(args):
 
 
 def _cmd_isoper(args):
-    cmf = load_cmf(args.cmf)
+    from .maxper import iso_per_scan
+
+    cmf = _load_cmf(args)
     grid = iso_per_scan(args.grid_step, cmf, _km_value(args), args.delta_lambda)
     lines = ["x,y,max_per"]
     lines += [f"{_fmt(x)},{_fmt(y)},{_fmt(v)}" for x, y, v in grid.rows if v is not None]
@@ -243,19 +244,34 @@ def _emit(output, lines):
 
 
 def _km_value(args) -> float:
-    return compute_km() if args.km == "computed" else KM_SI
+    if args.km != "computed":
+        return KM_SI
+    from .photometry import compute_km
+
+    return compute_km()
+
+
+def _load_cmf(args):
+    """The table of ``--cmf``, else of ``$LUMEN_CMF_PATH``, else the packaged one."""
+    from .colorimetry import default_cmf_path, load_cmf
+
+    return load_cmf(args.cmf or os.environ.get(CMF_PATH_ENV) or default_cmf_path())
 
 
 def _make_v(args):
+    from .photometry import PHOTOPIC, SCOTOPIC, Tabulated
+
     if args.v_mode == "photopic_analytic":
         return PHOTOPIC
     if args.v_mode == "scotopic_analytic":
         return SCOTOPIC
-    return Tabulated.from_cmf(load_cmf(args.cmf))
+    return Tabulated.from_cmf(_load_cmf(args))
 
 
 def _make_model(args):
     """Model plus integration bounds from the source flags."""
+    from .spectral import Flat, Gaussian, Line, Planck, Sampled, TruncatedPlanck
+
     lmin, lmax = args.lmin, args.lmax
     if args.planck is not None:
         if args.planck is True:
@@ -279,8 +295,11 @@ def _make_model(args):
     return Sampled(_load_spectrum(args.file)), lmin, lmax
 
 
-def _load_spectrum(path) -> SampledSpectrum:
+def _load_spectrum(path):
     """Read a sampled spectrum CSV (header ``wavelength_nm,power``)."""
+    from .colorimetry import read_csv
+    from .spectral import SampledSpectrum
+
     data = read_csv(path, ("wavelength_nm", "power"))
     try:
         return SampledSpectrum(data[:, 0], data[:, 1])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, ZeroSpectrumError, check_positive
 from .quadrature import panel_rule
+from .record import Record
 from .spectral import Line, Planck, SpectrumModel, temperature_ladder
 
 CMF_COLUMNS = ("wavelength_nm", "xbar", "ybar", "zbar")
@@ -29,8 +29,7 @@ _DATA_FILE = "cie_1931_2deg_5nm.csv"
 _BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class CmfTable:
+class CmfTable(Record):
     """Color matching functions on a uniform ascending wavelength grid.
 
     Tables compare and hash by identity, as the per-table caches below
@@ -42,9 +41,12 @@ class CmfTable:
     ybar: np.ndarray
     zbar: np.ndarray
 
-    def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        cols = [np.asarray(c, dtype=float) for c in (self.xbar, self.ybar, self.zbar)]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, wavelengths_nm, xbar, ybar, zbar):
+        wl = np.asarray(wavelengths_nm, dtype=float)
+        cols = [np.asarray(c, dtype=float) for c in (xbar, ybar, zbar)]
         if wl.ndim != 1 or any(c.shape != wl.shape for c in cols):
             raise ValidationError("CMF columns must be equal-length 1-d arrays")
         if len(wl) < 2:
@@ -70,10 +72,9 @@ class CmfTable:
         arrays = [wl] + cols
         for a in arrays:
             a.flags.writeable = False
-        object.__setattr__(self, "wavelengths_nm", wl)
-        object.__setattr__(self, "xbar", cols[0])
-        object.__setattr__(self, "ybar", cols[1])
-        object.__setattr__(self, "zbar", cols[2])
+        fields = self.__dict__
+        fields["wavelengths_nm"] = wl
+        fields["xbar"], fields["ybar"], fields["zbar"] = cols
 
     @property
     def spacing_nm(self) -> float:
@@ -105,26 +106,31 @@ class CmfTable:
         return {}
 
 
-@dataclass(frozen=True)
-class Tristimulus:
+class Tristimulus(Record):
     X: float
     Y: float
     Z: float
 
-    def __post_init__(self):
-        if self.X < 0 or self.Y < 0 or self.Z < 0:
+    def __init__(self, X: float, Y: float, Z: float):
+        fields = self.__dict__
+        fields["X"] = X
+        fields["Y"] = Y
+        fields["Z"] = Z
+        if X < 0 or Y < 0 or Z < 0:
             raise DomainError(f"tristimulus values must be nonnegative, got {self}")
 
 
-@dataclass(frozen=True)
-class Chromaticity:
+class Chromaticity(Record):
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"chromaticity coordinates must be finite, got {self}")
-        if self.x < 0 or self.y < 0:
+        if x < 0 or y < 0:
             raise DomainError(f"chromaticity coordinates must be nonnegative, got {self}")
 
 
@@ -138,10 +144,14 @@ def read_csv(source, columns) -> np.ndarray:
     """
     if hasattr(source, "read"):
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         with open(source, "rb") as f:
-            text = f.read().decode("utf-8")
+            raw = f.read()
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line=line) from None
     reader = csv.reader(io.StringIO(text))
     rows = []
     header = None
@@ -204,6 +214,9 @@ def tristimulus(model: SpectrumModel, cmf: CmfTable, km: float,
     run at rel_tol 1e-12 between the same breakpoints.
     """
     check_positive("km", km, "lm/W")
+    for bound in (lam_min_nm, lam_max_nm):
+        if bound is not None:
+            check_positive("wavelength bound", bound, "nm")
     if isinstance(model, Line):
         lam = model.lam_nm
         table_lo, table_hi = cmf.wavelengths_nm[0], cmf.wavelengths_nm[-1]

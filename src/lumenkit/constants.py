@@ -10,3 +10,6 @@ HBAR = H / (2.0 * math.pi)
 # Wavelengths cross module boundaries in nm; SI conversion happens only
 # inside Planck-law evaluation.
 NM_TO_M = 1e-9
+
+# SI-adopted maximum luminous efficacy, lm/W; also the efficiency normalizer.
+KM_SI = 683.0

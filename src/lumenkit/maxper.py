@@ -31,12 +31,11 @@ wrapping in numpy, and cached on the :class:`CmfTable`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .colorimetry import Chromaticity, CmfTable, gamut_mask, in_gamut
 from .errors import DomainError, ValidationError, check_positive
+from .record import Record
 
 # A line this far below the strongest one (relative) is rounding noise,
 # not a spectral line.
@@ -53,23 +52,31 @@ _COLLINEAR_TOL = 1e-12
 _TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Record):
     status: str  # optimal | infeasible
     objective_value: float | None
     support: tuple  # (wavelength_nm, power_density) pairs, power > 0
 
+    def __init__(self, status: str, objective_value: float | None, support: tuple):
+        fields = self.__dict__
+        fields["status"] = status
+        fields["objective_value"] = objective_value
+        fields["support"] = support
 
-@dataclass(frozen=True)
-class IsoPerGrid:
+
+class IsoPerGrid(Record):
     """Max PER sampled on a chromaticity grid; None marks out-of-gamut."""
 
     grid_step: float
     rows: tuple  # (x, y, max_per | None), row-major: y outer, x inner
 
+    def __init__(self, grid_step: float, rows: tuple):
+        fields = self.__dict__
+        fields["grid_step"] = grid_step
+        fields["rows"] = rows
 
-@dataclass(frozen=True)
-class _Envelope:
+
+class _Envelope(Record):
     """Lower-hull faces of the lifted locus at one stride."""
 
     delta_lambda_nm: float
@@ -83,6 +90,17 @@ class _Envelope:
     origin: tuple               # x and y of the first corners, each (F, 1)
     at0: np.ndarray             # (4, F, 1)
     slope: tuple                # slope_x and slope_y, each (4, F, 1)
+
+    def __init__(self, delta_lambda_nm, at_table_spacing, wavelengths_nm, heights,
+                 origin, at0, slope):
+        fields = self.__dict__
+        fields["delta_lambda_nm"] = delta_lambda_nm
+        fields["at_table_spacing"] = at_table_spacing
+        fields["wavelengths_nm"] = wavelengths_nm
+        fields["heights"] = heights
+        fields["origin"] = origin
+        fields["at0"] = at0
+        fields["slope"] = slope
 
     def lookup(self, x, y, known):
         """E, the face and the barycentric coordinates (n, 3) at targets

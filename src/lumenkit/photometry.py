@@ -7,19 +7,17 @@ power spectrum: K_m * integral(P V) / integral(P), in lm/W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Union
 
 import numpy as np
 
-from .constants import NM_TO_M
+from .constants import KM_SI, NM_TO_M
 from .errors import DomainError, ZeroSpectrumError, check_positive
 from .quadrature import panel_rule, total_planck_radiance
+from .record import Record
 from .spectral import (GAUSS_REACH_WIDTHS, Gaussian, Line, Planck, SpectrumModel,
                        temperature_ladder)
-
-# SI-adopted maximum luminous efficacy; also the efficiency normalizer.
-KM_SI = 683.0
 
 # Old candela standard: a platinum black body at its fusion temperature
 # emits 60 cd/cm^2 = 6e5 lm m^-2 sr^-1.
@@ -31,7 +29,7 @@ PLATINUM_LUMINANCE = 6.0e5
 V_BAND_NM = (300.0, 900.0)
 
 
-class _AnalyticResponse:
+class _AnalyticResponse(Record):
     """scale * exp(-curvature ((lam/1000) - center)^2): smooth and nowhere
     zero, so it adds no breakpoints and has no support edges."""
 
@@ -47,22 +45,19 @@ class _AnalyticResponse:
         return ()
 
 
-@dataclass(frozen=True)
 class PhotopicAnalytic(_AnalyticResponse):
     """Daylight sensitivity: 1.019 exp(-285 ((lam/1000) - 0.559)^2)."""
 
     _SCALE, _CURVATURE, _CENTER = 1.019, 285.0, 0.559
 
 
-@dataclass(frozen=True)
 class ScotopicAnalytic(_AnalyticResponse):
     """Dark-adapted sensitivity: 0.992 exp(-321.9 ((lam/1000) - 0.503)^2)."""
 
     _SCALE, _CURVATURE, _CENTER = 0.992, 321.9, 0.503
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Record):
     """Eye response from a table, linearly interpolated, zero outside.
 
     Its knots are breakpoints: the weight is linear between them.
@@ -71,21 +66,26 @@ class Tabulated:
     wavelengths_nm: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, wavelengths_nm, values):
+        wl = np.asarray(wavelengths_nm, dtype=float)
+        vals = np.asarray(values, dtype=float)
         if wl.ndim != 1 or wl.shape != vals.shape or len(wl) < 2:
             raise DomainError("tabulated sensitivity needs two equal-length arrays")
+        # NaN fails every comparison, so the two range checks reject it; in
+        # an ascending grid only an end can be infinite.
         if not np.all(np.diff(wl) > 0):
             raise DomainError("tabulated wavelengths must be strictly ascending")
-        if np.any(vals < 0) or np.any(vals > 1):
+        if not (math.isfinite(wl[0]) and math.isfinite(wl[-1])):
+            raise DomainError("tabulated wavelengths must be finite")
+        if not np.all((vals >= 0) & (vals <= 1)):
             raise DomainError("tabulated sensitivity values must lie in [0, 1]")
         wl = wl.copy()
         vals = vals.copy()
         wl.flags.writeable = False
         vals.flags.writeable = False
-        object.__setattr__(self, "wavelengths_nm", wl)
-        object.__setattr__(self, "values", vals)
+        fields = self.__dict__
+        fields["wavelengths_nm"] = wl
+        fields["values"] = vals
 
     @classmethod
     def from_cmf(cls, cmf) -> "Tabulated":
@@ -114,21 +114,30 @@ def luminosity(v: LuminosityFunction, lam_nm: float) -> float:
     return float(v.weight(np.float64(lam_nm)))
 
 
-@dataclass(frozen=True)
-class EfficacyResult:
+class EfficacyResult(Record):
     """PER in lm/W plus the efficiency fraction relative to 683 lm/W."""
 
     per: float
     efficiency: float
 
+    def __init__(self, per: float, efficiency: float):
+        fields = self.__dict__
+        fields["per"] = per
+        fields["efficiency"] = efficiency
 
-@dataclass(frozen=True)
-class PlanckSweep:
+
+class PlanckSweep(Record):
     """PER of black bodies over a temperature ladder, with its peak."""
 
     rows: tuple  # (t_k, per) pairs in ascending t_k
     peak_t_k: float
     peak_per: float
+
+    def __init__(self, rows: tuple, peak_t_k: float, peak_per: float):
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["peak_t_k"] = peak_t_k
+        fields["peak_per"] = peak_per
 
 
 def compute_km(v: LuminosityFunction = PHOTOPIC) -> float:

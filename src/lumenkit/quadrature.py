@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .constants import C, H, K_B
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 # Widest panel of the fixed rule.  The packaged CMF table steps by 5 nm;
 # on 5 nm panels, 5-point Gauss-Legendre (exact to degree 9) keeps every
@@ -67,8 +67,7 @@ def total_planck_radiance(t_k: float) -> float:
 
     Closed form (2 pi^4 / 15) (k_B T)^4 / (h^3 c^2), equal to sigma T^4 / pi.
     """
-    if t_k <= 0:
-        raise DomainError(f"temperature must be positive, got {t_k}")
+    check_positive("temperature", t_k, "K")
     kt = K_B * t_k
     return (2.0 * math.pi ** 4 / 15.0) * kt ** 4 / (H ** 3 * C ** 2)
 
@@ -114,6 +113,8 @@ def spline_fit(wavelengths_nm, values) -> CubicSpline:
         raise DomainError("spline data must be two equal-length 1-d arrays")
     if len(x) < 4:
         raise DomainError(f"cubic spline needs >= 4 knots, got {len(x)}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("spline knots and values must be finite")
     if not np.all(np.diff(x) > 0):
         raise DomainError("spline knots must be strictly ascending")
 

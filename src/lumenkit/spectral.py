@@ -12,7 +12,6 @@ wavelengths where the density is not smooth, at which integrals split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -21,6 +20,7 @@ import numpy as np
 from .constants import C, H, HBAR, K_B, NM_TO_M
 from .errors import DomainError, UnsupportedModelError, check_positive
 from .quadrature import spline_fit
+from .record import Record
 
 # Beyond this argument exp() would overflow a double; the occupancy is
 # below the smallest normal double long before that, so return 0.
@@ -55,10 +55,8 @@ def planck_radiance(lam_nm: float, t_k: float) -> float:
 
 def photon_number_density(omega: float, t_k: float) -> float:
     """Bose-Einstein occupancy 1 / (exp(hbar omega / k_B T) - 1)."""
-    if omega <= 0:
-        raise DomainError(f"angular frequency must be positive, got {omega}")
-    if t_k <= 0:
-        raise DomainError(f"temperature must be positive, got {t_k} K")
+    check_positive("angular frequency", omega, "rad/s")
+    check_positive("temperature", t_k, "K")
     x = HBAR * omega / (K_B * t_k)
     if x > _EXP_ARG_MAX:
         return 0.0
@@ -71,16 +69,15 @@ def energy_density_omega(omega: float, t_k: float) -> float:
     return (omega ** 2 / (math.pi ** 2 * C ** 3)) * HBAR * omega * occupancy
 
 
-@dataclass(frozen=True)
-class SampledSpectrum:
+class SampledSpectrum(Record):
     """Relative power samples on a strictly ascending wavelength grid."""
 
     wavelengths_nm: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, wavelengths_nm, values):
+        wl = np.asarray(wavelengths_nm, dtype=float)
+        vals = np.asarray(values, dtype=float)
         if wl.ndim != 1 or wl.shape != vals.shape:
             raise DomainError("sampled spectrum needs equal-length 1-d arrays")
         if len(wl) < 4:
@@ -97,15 +94,16 @@ class SampledSpectrum:
         vals = vals.copy()
         wl.flags.writeable = False
         vals.flags.writeable = False
-        object.__setattr__(self, "wavelengths_nm", wl)
-        object.__setattr__(self, "values", vals)
+        fields = self.__dict__
+        fields["wavelengths_nm"] = wl
+        fields["values"] = vals
 
     @cached_property
     def spline(self):
         return spline_fit(self.wavelengths_nm, self.values)
 
 
-class _Model:
+class _Model(Record):
     """Defaults for the model methods: no compact support, and a density
     that is smooth except at the support's edges."""
 
@@ -117,20 +115,19 @@ class _Model:
         return () if support is None else support
 
 
-@dataclass(frozen=True)
 class Planck(_Model):
     """Full-range black-body emitter at temperature t_k."""
 
     t_k: float
 
-    def __post_init__(self):
-        check_positive("temperature", self.t_k, "K")
+    def __init__(self, t_k: float):
+        check_positive("temperature", t_k, "K")
+        self.__dict__["t_k"] = t_k
 
     def density(self, lam):
         return _planck(lam, self.t_k)
 
 
-@dataclass(frozen=True)
 class TruncatedPlanck(_Model):
     """Black-body emitter restricted to [lam_min_nm, lam_max_nm]."""
 
@@ -138,9 +135,13 @@ class TruncatedPlanck(_Model):
     lam_min_nm: float
     lam_max_nm: float
 
-    def __post_init__(self):
-        check_positive("temperature", self.t_k, "K")
-        _check_band(self.lam_min_nm, self.lam_max_nm)
+    def __init__(self, t_k: float, lam_min_nm: float, lam_max_nm: float):
+        check_positive("temperature", t_k, "K")
+        _check_band(lam_min_nm, lam_max_nm)
+        fields = self.__dict__
+        fields["t_k"] = t_k
+        fields["lam_min_nm"] = lam_min_nm
+        fields["lam_max_nm"] = lam_max_nm
 
     def density(self, lam):
         inside = (lam >= self.lam_min_nm) & (lam <= self.lam_max_nm)
@@ -150,15 +151,17 @@ class TruncatedPlanck(_Model):
         return self.lam_min_nm, self.lam_max_nm
 
 
-@dataclass(frozen=True)
 class Flat(_Model):
     """Equal-energy emitter: unit power density on [lam_min_nm, lam_max_nm]."""
 
     lam_min_nm: float
     lam_max_nm: float
 
-    def __post_init__(self):
-        _check_band(self.lam_min_nm, self.lam_max_nm)
+    def __init__(self, lam_min_nm: float, lam_max_nm: float):
+        _check_band(lam_min_nm, lam_max_nm)
+        fields = self.__dict__
+        fields["lam_min_nm"] = lam_min_nm
+        fields["lam_max_nm"] = lam_max_nm
 
     def density(self, lam):
         return np.where((lam >= self.lam_min_nm) & (lam <= self.lam_max_nm), 1.0, 0.0)
@@ -167,16 +170,18 @@ class Flat(_Model):
         return self.lam_min_nm, self.lam_max_nm
 
 
-@dataclass(frozen=True)
 class Gaussian(_Model):
     """Single-Gaussian emitter, exp(-(lam - peak)^2 / (2 width^2))."""
 
     peak_nm: float
     width_nm: float
 
-    def __post_init__(self):
-        check_positive("peak wavelength", self.peak_nm, "nm")
-        check_positive("width", self.width_nm, "nm")
+    def __init__(self, peak_nm: float, width_nm: float):
+        check_positive("peak wavelength", peak_nm, "nm")
+        check_positive("width", width_nm, "nm")
+        fields = self.__dict__
+        fields["peak_nm"] = peak_nm
+        fields["width_nm"] = width_nm
 
     def density(self, lam):
         z = (lam - self.peak_nm) / self.width_nm
@@ -188,7 +193,6 @@ class Gaussian(_Model):
         return self.peak_nm + self.width_nm * _GAUSS_GRID
 
 
-@dataclass(frozen=True)
 class Line(_Model):
     """Monochromatic (Dirac delta) emitter.
 
@@ -198,8 +202,9 @@ class Line(_Model):
 
     lam_nm: float
 
-    def __post_init__(self):
-        check_positive("line wavelength", self.lam_nm, "nm")
+    def __init__(self, lam_nm: float):
+        check_positive("line wavelength", lam_nm, "nm")
+        self.__dict__["lam_nm"] = lam_nm
 
     def density(self, lam):
         raise UnsupportedModelError(
@@ -207,12 +212,14 @@ class Line(_Model):
         )
 
 
-@dataclass(frozen=True)
 class Sampled(_Model):
     """Spectrum defined by samples, evaluated via a natural cubic spline
     whose undershoot below zero is clamped."""
 
-    grid: SampledSpectrum = field()
+    grid: SampledSpectrum
+
+    def __init__(self, grid: SampledSpectrum):
+        self.__dict__["grid"] = grid
 
     def density(self, lam):
         wl = self.grid.wavelengths_nm

@@ -11,12 +11,17 @@ from lumenkit import (
     Planck,
     Sampled,
     SampledSpectrum,
+    Tabulated,
     TruncatedPlanck,
     UnsupportedModelError,
+    default_cmf,
     energy_density_omega,
     evaluate_spectrum,
     photon_number_density,
     planck_radiance,
+    spline_fit,
+    total_planck_radiance,
+    tristimulus,
 )
 from lumenkit.constants import C, H, HBAR, K_B
 
@@ -183,6 +188,19 @@ NAN, INF = float("nan"), float("inf")
     lambda: SampledSpectrum(np.array([400.0, 450.0, 500.0, INF]), np.ones(4)),
     lambda: evaluate_spectrum(Flat(380.0, 780.0), NAN),
     lambda: planck_radiance(555.0, INF),
+    lambda: total_planck_radiance(NAN),
+    lambda: total_planck_radiance(INF),
+    lambda: photon_number_density(NAN, 300.0),
+    lambda: photon_number_density(OMEGA_555, NAN),
+    lambda: photon_number_density(INF, 300.0),
+    lambda: energy_density_omega(1e15, INF),
+    lambda: tristimulus(Planck(4000.0), default_cmf(), 683.0, lam_min_nm=NAN),
+    lambda: tristimulus(Planck(4000.0), default_cmf(), 683.0, lam_max_nm=INF),
+    lambda: tristimulus(Line(555.0), default_cmf(), 683.0, NAN, 700.0),
+    lambda: Tabulated(np.array([400.0, 450.0, 500.0]), np.array([0.5, NAN, 0.5])),
+    lambda: Tabulated(np.array([400.0, 450.0, INF]), np.full(3, 0.5)),
+    lambda: Tabulated(np.array([-INF, 450.0, 500.0]), np.full(3, 0.5)),
+    lambda: spline_fit(np.array([400.0, 450.0, 500.0, 550.0]), np.array([1.0, NAN, 1.0, 1.0])),
 ])
 def test_non_finite_inputs_are_domain_errors(make):
     with pytest.raises(DomainError):
