@@ -29,8 +29,8 @@ EXIT_INFEASIBLE = 5
 
 CMF_PATH_ENV = "LUMEN_CMF_PATH"
 
-# Default band for sources that need explicit bounds (Gaussian, Line):
-# the conventional visible range.
+# Band of a Gaussian or Line source given without --lmin/--lmax: the
+# conventional visible range.
 DEFAULT_BAND = (380.0, 780.0)
 
 

@@ -17,9 +17,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, ZeroSpectrumError, check_positive
-from .quadrature import panel_rule
 from .record import Record
-from .spectral import Line, Planck, SpectrumModel, temperature_ladder
+from .spectral import Planck, SpectrumModel, band, integrals, temperature_ladder
 
 CMF_COLUMNS = ("wavelength_nm", "xbar", "ybar", "zbar")
 _DATA_FILE = "cie_1931_2deg_5nm.csv"
@@ -56,12 +55,12 @@ class CmfTable(Record):
             raise ValidationError("CMF wavelengths must be strictly ascending")
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
             raise ValidationError("CMF wavelength grid must be uniform")
-        for name, col in zip(("xbar", "ybar", "zbar"), cols):
-            if np.any(col < 0):
-                row = int(np.argmin(col))
-                raise ValidationError(
-                    f"negative {name} at row {row + 1} (wavelength {wl[row]} nm)"
-                )
+        for name, col in zip(CMF_COLUMNS[1:], cols):
+            bad = ~((col >= 0) & (col < math.inf))
+            if np.any(bad):
+                row = int(np.argmax(bad))
+                raise ValidationError(f"{name} must be finite and nonnegative, got "
+                                      f"{col[row]} at row {row + 1} (wavelength {wl[row]} nm)")
         peak_idx = int(np.argmax(cols[1]))
         peak_wl = wl[peak_idx]
         peak_val = cols[1][peak_idx]
@@ -79,10 +78,6 @@ class CmfTable(Record):
     @property
     def spacing_nm(self) -> float:
         return float(self.wavelengths_nm[1] - self.wavelengths_nm[0])
-
-    def interp(self, column: str, lam_nm: float) -> float:
-        col = getattr(self, column)
-        return float(np.interp(lam_nm, self.wavelengths_nm, col, left=0.0, right=0.0))
 
     @cached_property
     def _gamut(self) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +198,9 @@ def tristimulus(model: SpectrumModel, cmf: CmfTable, km: float,
                 lam_max_nm: float | None = None) -> Tristimulus:
     """Tristimulus coordinates X, Y, Z = K_m integral(P * cmf) d lambda.
 
-    Integration runs over the overlap of the requested band, the CMF
-    grid, and the model's support; ``Line`` evaluates analytically.
+    Band rule, shared with ``per`` (:func:`~lumenkit.spectral.band`): the
+    given bounds cut the model's support and the table's range, and a
+    missing bound is the edge of either.
 
     Rule: one evaluation of the density at the nodes of
     :func:`~lumenkit.quadrature.panel_rule` (5-point Gauss-Legendre on
@@ -214,33 +210,10 @@ def tristimulus(model: SpectrumModel, cmf: CmfTable, km: float,
     run at rel_tol 1e-12 between the same breakpoints.
     """
     check_positive("km", km, "lm/W")
-    for bound in (lam_min_nm, lam_max_nm):
-        if bound is not None:
-            check_positive("wavelength bound", bound, "nm")
-    if isinstance(model, Line):
-        lam = model.lam_nm
-        table_lo, table_hi = cmf.wavelengths_nm[0], cmf.wavelengths_nm[-1]
-        if not table_lo <= lam <= table_hi:
-            raise ZeroSpectrumError(f"line at {lam} nm lies outside the CMF range")
-        return Tristimulus(km * cmf.interp("xbar", lam),
-                           km * cmf.interp("ybar", lam),
-                           km * cmf.interp("zbar", lam))
-
-    lo = float(cmf.wavelengths_nm[0]) if lam_min_nm is None else lam_min_nm
-    hi = float(cmf.wavelengths_nm[-1]) if lam_max_nm is None else lam_max_nm
-    lo = max(lo, float(cmf.wavelengths_nm[0]))
-    hi = min(hi, float(cmf.wavelengths_nm[-1]))
-    support = model.support()
-    if support is not None:
-        lo, hi = max(lo, support[0]), min(hi, support[1])
-    if lo >= hi:
-        raise ZeroSpectrumError("spectrum and CMF table have no wavelength overlap")
-
     wl = cmf.wavelengths_nm
-    lam, w = panel_rule(lo, hi, wl, model.breakpoints())
-    power = km * w * model.density(lam)
-    t = Tristimulus(*(float(np.interp(lam, wl, column) @ power)
-                      for column in (cmf.xbar, cmf.ybar, cmf.zbar)))
+    edges = band(model, lam_min_nm, lam_max_nm, (float(wl[0]), float(wl[-1])))
+    t = Tristimulus(*integrals(model, edges, lambda lam: (
+        km * np.interp(lam, wl, column) for column in (cmf.xbar, cmf.ybar, cmf.zbar)), wl))
     if t.X == 0.0 and t.Y == 0.0 and t.Z == 0.0:
         raise ZeroSpectrumError("spectrum carries no power under the CMF table")
     return t

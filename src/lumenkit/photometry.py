@@ -14,10 +14,8 @@ import numpy as np
 
 from .constants import KM_SI, NM_TO_M
 from .errors import DomainError, ZeroSpectrumError, check_positive
-from .quadrature import panel_rule, total_planck_radiance
 from .record import Record
-from .spectral import (GAUSS_REACH_WIDTHS, Gaussian, Line, Planck, SpectrumModel,
-                       temperature_ladder)
+from .spectral import Planck, SpectrumModel, band, integrals, temperature_ladder
 
 # Old candela standard: a platinum black body at its fusion temperature
 # emits 60 cd/cm^2 = 6e5 lm m^-2 sr^-1.
@@ -155,51 +153,36 @@ def compute_km(v: LuminosityFunction = PHOTOPIC) -> float:
 
 def km_denominator(v: LuminosityFunction = PHOTOPIC) -> float:
     """Eye-weighted platinum-point radiance, W m^-2 sr^-1, by the rule of
-    :func:`per` over ``V_BAND_NM``."""
-    return _weighted_integral(Planck(PLATINUM_POINT_K), v, *V_BAND_NM) * NM_TO_M
+    :func:`per`."""
+    return _seen_radiance(Planck(PLATINUM_POINT_K), v)
 
 
 def per(model: SpectrumModel, v: LuminosityFunction, km: float,
         lam_min_nm: float | None = None, lam_max_nm: float | None = None) -> EfficacyResult:
     """Photometric efficacy ratio of ``model`` under sensitivity ``v``.
 
-    Bounds are optional for models that carry their own domain
-    (truncated/flat/sampled use their support, Planck integrates the
-    full range, Line is evaluated analytically); a Gaussian without
-    explicit bounds also gets none by default here, so callers supply
-    the band of interest.  Raises :class:`ZeroSpectrumError` when the
-    spectrum carries no power on the requested interval.
+    Band rule, shared with ``tristimulus`` (:func:`~lumenkit.spectral.band`):
+    the given bounds cut the model's support, and a missing bound is the
+    support's edge.  ``Planck`` takes both bounds or none; with none, P V
+    is integrated over ``V_BAND_NM`` and P in closed form.  Raises
+    :class:`ZeroSpectrumError` when no power is left in the band.
 
     Rule: the integrals of P and P V take one evaluation of the density
     at the nodes of :func:`~lumenkit.quadrature.panel_rule` (5-point
     Gauss-Legendre on panels of at most 5 nm, split at the model's
     breakpoints and V's knots, so each panel sees a smooth integrand).
-    A Planck source divides by the closed-form total radiance instead.
     The tests hold the result to 1e-9 relative of adaptive Simpson run
     at rel_tol 1e-12 between the same breakpoints.
     """
     check_positive("km", km, "lm/W")
-    if isinstance(model, Line):
-        if lam_min_nm is not None and lam_max_nm is not None:
-            if not lam_min_nm <= model.lam_nm <= lam_max_nm:
-                raise DomainError(
-                    f"line at {model.lam_nm} nm lies outside [{lam_min_nm}, {lam_max_nm}] nm"
-                )
-        return _result(km * luminosity(v, model.lam_nm))
-
-    if isinstance(model, Planck):
-        lo, hi = _intersect(V_BAND_NM, v.support())
-        num = _weighted_integral(model, v, lo, hi) * NM_TO_M
-        return _result(km * num / total_planck_radiance(model.t_k))
-
-    lo, hi = _model_bounds(model, lam_min_nm, lam_max_nm)
-    lam, w = panel_rule(lo, hi, model.breakpoints(), v.breakpoints())
-    power = w * model.density(lam)
-    den = float(power.sum())
+    edges = band(model, lam_min_nm, lam_max_nm)
+    if edges is None:
+        return _result(km * _seen_radiance(model, v) / model.closed_form_total())
+    den, num = integrals(model, edges, lambda lam: (None, v.weight(lam)), v.breakpoints())
     if den <= 0.0:
-        raise ZeroSpectrumError(f"spectrum is identically zero on [{lo}, {hi}] nm")
+        raise ZeroSpectrumError(f"spectrum is identically zero on [{edges[0]}, {edges[1]}] nm")
     # V is zero outside its support, whose edges are breakpoints.
-    return _result(km * float(power @ v.weight(lam)) / den)
+    return _result(km * num / den)
 
 
 def per_sweep_planck(t_min: float, t_max: float, step: float,
@@ -216,35 +199,8 @@ def _result(value: float) -> EfficacyResult:
     return EfficacyResult(per=value, efficiency=value / KM_SI)
 
 
-def _model_bounds(model, lam_min_nm, lam_max_nm) -> tuple[float, float]:
-    support = model.support()
-    gaussian = isinstance(model, Gaussian)
-    if gaussian:
-        support = (model.peak_nm - GAUSS_REACH_WIDTHS * model.width_nm,
-                   model.peak_nm + GAUSS_REACH_WIDTHS * model.width_nm)
-    if lam_min_nm is None and lam_max_nm is None:
-        if support is None or gaussian:
-            raise DomainError(f"{type(model).__name__} needs explicit wavelength bounds")
-        return support
-    if lam_min_nm is None or lam_max_nm is None or not lam_min_nm < lam_max_nm:
-        raise DomainError(f"need lam_min < lam_max, got [{lam_min_nm}, {lam_max_nm}]")
-    if support is None:
-        return lam_min_nm, lam_max_nm
-    lo, hi = max(lam_min_nm, support[0]), min(lam_max_nm, support[1])
-    if lo >= hi:
-        raise ZeroSpectrumError(
-            f"spectrum support {support} does not meet [{lam_min_nm}, {lam_max_nm}] nm"
-        )
-    return lo, hi
-
-
-def _intersect(band, extra):
-    if extra is None:
-        return band
-    return max(band[0], extra[0]), min(band[1], extra[1])
-
-
-def _weighted_integral(model, v, lo, hi) -> float:
-    """Integral of P V over [lo, hi] (nm) by the rule of :func:`per`."""
-    lam, w = panel_rule(lo, hi, model.breakpoints(), v.breakpoints())
-    return float(w @ (model.density(lam) * v.weight(lam)))
+def _seen_radiance(model, v) -> float:
+    """Integral of P V over ``V_BAND_NM``, wavelength in meters."""
+    edges = band(model, *V_BAND_NM, v.support())
+    (num,) = integrals(model, edges, lambda lam: (v.weight(lam),), v.breakpoints())
+    return num * NM_TO_M

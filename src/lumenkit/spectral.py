@@ -5,8 +5,10 @@ in kelvin; conversion to SI meters happens only inside the Planck
 evaluators.
 
 Each model defines in one place its vectorised ``density(lam)`` (zero
-outside its support), its ``support()`` and its ``breakpoints()``, the
-wavelengths where the density is not smooth, at which integrals split.
+outside its support), its ``support()``, its ``breakpoints()``, where the
+density is not smooth and integrals split, and its ``emission(lo, hi,
+*breakpoints)``, nodes and the power each carries.  :func:`band` and
+:func:`integrals` are the one band rule and the one integration path.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from .constants import C, H, HBAR, K_B, NM_TO_M
-from .errors import DomainError, UnsupportedModelError, check_positive
-from .quadrature import spline_fit
+from .errors import DomainError, UnsupportedModelError, ZeroSpectrumError, check_positive
+from .quadrature import panel_rule, spline_fit, total_planck_radiance
 from .record import Record
 
 # Beyond this argument exp() would overflow a double; the occupancy is
@@ -104,8 +106,8 @@ class SampledSpectrum(Record):
 
 
 class _Model(Record):
-    """Defaults for the model methods: no compact support, and a density
-    that is smooth except at the support's edges."""
+    """Defaults for the model methods: no compact support, a density smooth
+    except at the support's edges, and no closed-form total."""
 
     def support(self) -> tuple[float, float] | None:
         return None
@@ -113,6 +115,17 @@ class _Model(Record):
     def breakpoints(self):
         support = self.support()
         return () if support is None else support
+
+    def closed_form_total(self) -> float | None:
+        """The density's integral over all wavelengths in meters, if known."""
+        return None
+
+    def emission(self, lo: float, hi: float, *breakpoints):
+        """Nodes (nm) and the power each carries on ``[lo, hi]``: ``power @
+        f(nodes)`` integrates the density times an ``f`` smooth between
+        ``breakpoints``, by :func:`~lumenkit.quadrature.panel_rule`."""
+        lam, w = panel_rule(lo, hi, self.breakpoints(), *breakpoints)
+        return lam, w * self.density(lam)
 
 
 class Planck(_Model):
@@ -126,6 +139,9 @@ class Planck(_Model):
 
     def density(self, lam):
         return _planck(lam, self.t_k)
+
+    def closed_form_total(self):
+        return total_planck_radiance(self.t_k)
 
 
 class TruncatedPlanck(_Model):
@@ -187,6 +203,11 @@ class Gaussian(_Model):
         z = (lam - self.peak_nm) / self.width_nm
         return np.exp(-0.5 * z * z)
 
+    def support(self):
+        """The reach, GAUSS_REACH_WIDTHS widths either side of the peak."""
+        reach = GAUSS_REACH_WIDTHS * self.width_nm
+        return self.peak_nm - reach, self.peak_nm + reach
+
     def breakpoints(self):
         """One per width within GAUSS_REACH_WIDTHS of the peak, so that no
         integration panel there is wider than the Gaussian itself."""
@@ -194,11 +215,8 @@ class Gaussian(_Model):
 
 
 class Line(_Model):
-    """Monochromatic (Dirac delta) emitter.
-
-    Purely symbolic: never sampled numerically, always handled
-    analytically by photometry and colorimetry.
-    """
+    """Monochromatic (Dirac delta) emitter: unit power at ``lam_nm``, and
+    no pointwise density."""
 
     lam_nm: float
 
@@ -210,6 +228,12 @@ class Line(_Model):
         raise UnsupportedModelError(
             "Line spectra are delta functions; evaluate them analytically"
         )
+
+    def support(self):
+        return self.lam_nm, self.lam_nm
+
+    def emission(self, lo, hi, *breakpoints):
+        return np.array([self.lam_nm]), np.array([1.0])
 
 
 class Sampled(_Model):
@@ -248,6 +272,47 @@ def evaluate_spectrum(model: SpectrumModel, lam_nm: float) -> float:
     return float(model.density(np.float64(lam_nm)))
 
 
+def band(model: SpectrumModel, lam_min_nm: float | None = None,
+         lam_max_nm: float | None = None, within=None) -> tuple[float, float] | None:
+    """The band ``(lo, hi)``, in nm, over which to integrate ``model``.
+
+    The bounds, positive and finite with ``lo < hi``, cut the model's
+    support and ``within``; a missing bound is the edge of either.  A band
+    that misses the support raises :class:`ZeroSpectrumError`.  An open
+    band is None, for the whole spectrum, if no bound is given and the model
+    has a :meth:`closed_form_total`; otherwise it is a :class:`DomainError`.
+    """
+    _check_band(lam_min_nm, lam_max_nm)
+    lo = -math.inf if lam_min_nm is None else lam_min_nm
+    hi = math.inf if lam_max_nm is None else lam_max_nm
+    if within is not None:
+        lo, hi = max(lo, within[0]), min(hi, within[1])
+    support = model.support() or (lo, hi)
+    if not (support[0] <= hi and lo <= support[1]):
+        raise ZeroSpectrumError(f"{type(model).__name__} emits nothing in [{lo}, {hi}] nm")
+    lo, hi = max(lo, support[0]), min(hi, support[1])
+    if lo == -math.inf or hi == math.inf:
+        if lam_min_nm is None and lam_max_nm is None and model.closed_form_total() is not None:
+            return None
+        raise DomainError(f"{type(model).__name__} emits at all wavelengths: "
+                          "give both bounds or none")
+    return lo, hi
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def integrals(model: SpectrumModel, edges: tuple[float, float], weigh,
+              *breakpoints) -> list[float]:
+    """Integrals over ``edges`` of the model's power times each array of
+    ``weigh(nodes)`` (None for 1), each smooth between ``breakpoints``;
+    :class:`DomainError` if one overflows."""
+    lam, power = model.emission(*edges, *breakpoints)
+    sums = [float(power.sum() if w is None else power @ w) for w in weigh(lam)]
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"the spectrum overflows: its integrals over [{edges[0]}, "
+                          f"{edges[1]}] nm are not finite; scale it down")
+    return sums
+
+
 def temperature_ladder(t_min: float, t_max: float, step: float) -> list[float]:
     """Temperatures t_min + k * step, k = 0, 1, ..., up to t_max (K), with
     1e-12 relative slack at t_max.
@@ -263,7 +328,9 @@ def temperature_ladder(t_min: float, t_max: float, step: float) -> list[float]:
 
 
 def _check_band(lam_min, lam_max):
-    check_positive("wavelengths", lam_min, "nm")
-    check_positive("wavelengths", lam_max, "nm")
-    if not lam_min < lam_max:
+    """Each given bound positive and finite, and lam_min < lam_max."""
+    for bound in (lam_min, lam_max):
+        if bound is not None:
+            check_positive("wavelength bound", bound, "nm")
+    if lam_min is not None and lam_max is not None and not lam_min < lam_max:
         raise DomainError(f"need lam_min < lam_max, got [{lam_min}, {lam_max}]")

@@ -94,6 +94,9 @@ INVOCATIONS = (
         "chroma --planck 4000 --cmf {golden}/cmf_nan.csv",
         "per --planck 4000 --v-mode tabulated --cmf {golden}/cmf_nan.csv",
     ]
+    # A flat sampled spectrum at 1e308 overflows a double; at 1e300 it does not.
+    + [f"{command} --file {{golden}}/flat_{level}.csv"
+       for level in ("1e308", "1e300") for command in ("per", "chroma")]
 )
 
 
@@ -110,6 +113,9 @@ def write_inputs():
     xbar[29] = np.nan
     _write_csv("cmf_nan.csv", "wavelength_nm,xbar,ybar,zbar",
                cmf.wavelengths_nm, xbar, cmf.ybar, cmf.zbar)
+    wl = np.arange(380.0, 781.0, 5.0)
+    for level in ("1e308", "1e300"):
+        _write_csv(f"flat_{level}.csv", "wavelength_nm,power", wl, np.full(len(wl), float(level)))
 
 
 def _write_csv(name, header, *columns):

@@ -2,9 +2,9 @@
 
 Independent of the Gauss-Legendre panel rule of ``lumenkit.quadrature``:
 ``integrate`` is adaptive Simpson, and the oracle integrates the scalar
-public functions (``evaluate_spectrum``, ``luminosity``,
-``CmfTable.interp``) by ``integrate`` at ``rel_tol`` 1e-12, run between
-consecutive cut points so that every piece has a smooth integrand.
+public functions (``evaluate_spectrum``, ``luminosity``) and the CMF
+columns, linearly interpolated, by ``integrate`` at ``rel_tol`` 1e-12, run
+between consecutive cut points so that every piece has a smooth integrand.
 """
 
 from dataclasses import dataclass
@@ -179,8 +179,10 @@ def oracle_chromaticity(model, cmf):
     lo, hi = float(cmf.wavelengths_nm[0]), float(cmf.wavelengths_nm[-1])
     if model.support() is not None:
         lo, hi = max(lo, model.support()[0]), min(hi, model.support()[1])
-    xyz = [simpson(lambda lam, c=column: density(lam) * cmf.interp(c, lam), lo, hi,
-                   cmf.wavelengths_nm, model.breakpoints())
-           for column in ("xbar", "ybar", "zbar")]
+    wl = cmf.wavelengths_nm
+    xyz = [simpson(lambda lam, c=column: density(lam) * float(
+                       np.interp(lam, wl, c, left=0.0, right=0.0)), lo, hi,
+                   wl, model.breakpoints())
+           for column in (cmf.xbar, cmf.ybar, cmf.zbar)]
     total = sum(xyz)
     return xyz[0] / total, xyz[1] / total

@@ -120,6 +120,80 @@ def test_non_utf8_file_exits_with_parse_error(tmp_path, capsys, flag):
     assert err.startswith("error: line 3: not UTF-8")
 
 
+# --- the wavelength band ---
+
+
+def _per_out(per_value, efficiency):
+    return f"per_lm_per_w,efficiency\n{per_value},{efficiency}\n"
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # Bounds cut a black body as --truncated-planck 5800 400 700 does.
+    ("per --planck 5800 --lmin 400 --lmax 700 --v-mode tabulated", EXIT_OK,
+     _per_out("250.826858", "0.367242837")),
+    # A black body takes both bounds or none; each bound is positive and finite.
+    ("per --planck 3000 --lmin 400", EXIT_CONFIG, ""),
+    ("per --planck 3000 --lmin -5 --lmax 700", EXIT_CONFIG, ""),
+    ("per --planck 3000 --lmin nan --lmax inf", EXIT_CONFIG, ""),
+    ("per --gaussian 550 20 --lmin -5", EXIT_CONFIG, ""),
+    ("per --line 555 --lmin -5", EXIT_CONFIG, ""),
+    # chroma rejects a band that misses the source, as per does.
+    ("chroma --line 555 --lmin 600 --lmax 700", EXIT_CONFIG, ""),
+    # A missing bound is the edge of the source's support: --flat 450 700.
+    ("per --flat 400 700 --lmin 450", EXIT_OK, _per_out("290.821113", "0.425799579")),
+])
+def test_one_band_rule_for_per_and_chroma(argv, code, out, capsys):
+    assert main(argv.split()) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == out
+    assert err.startswith("error: ") if code else err == ""
+
+
+# --- spectra that overflow a double ---
+
+
+def _flat_spectrum_file(tmp_path, level):
+    path = tmp_path / f"flat-{level}.csv"
+    path.write_text("wavelength_nm,power\n" + "".join(
+        f"{lam},{level}\n" for lam in range(380, 781, 5)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["per", "chroma"])
+def test_overflowing_spectrum_exits_with_config_error(tmp_path, capsys, command):
+    assert main([command, "--file", _flat_spectrum_file(tmp_path, "1e308")]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the spectrum overflows")
+
+
+@pytest.mark.parametrize("command", ["per", "chroma"])
+def test_large_spectrum_gives_the_unit_spectrum_values(tmp_path, capsys, command):
+    assert main([command, "--file", _flat_spectrum_file(tmp_path, "1")]) == EXIT_OK
+    unit, _ = capsys.readouterr()
+    assert main([command, "--file", _flat_spectrum_file(tmp_path, "1e300")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == unit
+    assert err == ""
+
+
+# --- a CMF table with NaN in a column ---
+
+
+def test_cmf_with_nan_exits_with_parse_error(tmp_path, cmf, capsys):
+    xbar = cmf.xbar.copy()
+    xbar[29] = np.nan
+    path = tmp_path / "cmf-nan.csv"
+    path.write_text("wavelength_nm,xbar,ybar,zbar\n" + "".join(
+        f"{lam!r},{x!r},{y!r},{z!r}\n" for lam, x, y, z in
+        zip(cmf.wavelengths_nm.tolist(), xbar.tolist(), cmf.ybar.tolist(),
+            cmf.zbar.tolist())), encoding="utf-8")
+    assert main(["maxper", "--x", "0.3", "--y", "0.3", "--cmf", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: xbar must be finite and nonnegative, got nan at row 30 (wavelength 525.0 nm)\n"
+
+
 # --- every subcommand against the library ---
 
 

@@ -81,6 +81,21 @@ def test_load_cmf_rejects_negative_value_naming_row():
         load_cmf(io.StringIO(_table_text(rows)))
 
 
+@pytest.mark.parametrize("column", ["xbar", "ybar", "zbar"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cmf_table_rejects_non_finite_values(cmf, column, bad):
+    columns = {name: getattr(cmf, name).copy() for name in ("xbar", "ybar", "zbar")}
+    columns[column][29] = bad
+    with pytest.raises(ValidationError, match=f"{column} must be finite.* row 30 "):
+        CmfTable(cmf.wavelengths_nm, **columns)
+
+
+def test_tristimulus_of_an_overflowing_spectrum_is_a_domain_error(cmf):
+    wl = np.arange(380.0, 781.0, 5.0)
+    with pytest.raises(DomainError, match="overflows"):
+        tristimulus(Sampled(SampledSpectrum(wl, np.full(len(wl), 1e308))), cmf, 683.0)
+
+
 def test_load_cmf_rejects_bad_header():
     with pytest.raises(ParseError, match="header"):
         load_cmf(io.StringIO(_table_text(["380,0.1,0.1,0.1"], header="wl,x,y,z")))

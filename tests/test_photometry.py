@@ -30,6 +30,7 @@ from lumenkit import (
 )
 from lumenkit.constants import NM_TO_M
 from lumenkit.photometry import KM_SI, PLATINUM_LUMINANCE, PLATINUM_POINT_K, V_BAND_NM
+from lumenkit.spectral import GAUSS_REACH_WIDTHS
 
 # The printed formulas give these values (frozen from independent
 # scipy.integrate.quad / mpmath evaluations); published round numbers
@@ -135,19 +136,26 @@ def test_per_line_tabulated_is_exact(cmf):
 
 
 def test_per_line_outside_bounds(cmf):
-    with pytest.raises(DomainError):
+    with pytest.raises(ZeroSpectrumError):
         per(Line(555.0), PHOTOPIC, KM_SI, 600.0, 780.0)
 
 
-def test_per_gaussian_requires_bounds():
-    with pytest.raises(DomainError):
-        per(Gaussian(450.0, 20.0), PHOTOPIC, KM_SI)
+def test_per_gaussian_without_bounds_integrates_its_reach():
+    reach = GAUSS_REACH_WIDTHS * 20.0
+    assert per(Gaussian(450.0, 20.0), PHOTOPIC, KM_SI) == per(
+        Gaussian(450.0, 20.0), PHOTOPIC, KM_SI, 450.0 - reach, 450.0 + reach)
 
 
 def test_per_zero_spectrum():
     grid = SampledSpectrum(np.array([400.0, 450.0, 500.0, 550.0]), np.zeros(4))
     with pytest.raises(ZeroSpectrumError):
         per(Sampled(grid), PHOTOPIC, KM_SI)
+
+
+def test_per_of_an_overflowing_spectrum_is_a_domain_error():
+    wl = np.arange(380.0, 781.0, 5.0)
+    with pytest.raises(DomainError, match="overflows"):
+        per(Sampled(SampledSpectrum(wl, np.full(len(wl), 1e308))), PHOTOPIC, KM_SI)
 
 
 def test_per_disjoint_bounds():

@@ -8,19 +8,26 @@ from hypothesis import strategies as st
 from simplex_oracle import build_problem, simplex_solve
 
 from lumenkit import (
+    PHOTOPIC,
+    SCOTOPIC,
     Chromaticity,
     Flat,
     Gaussian,
+    Line,
+    Planck,
     Sampled,
     SampledSpectrum,
     Tabulated,
+    TruncatedPlanck,
     chromaticity,
     default_cmf,
+    luminosity,
     max_per,
     per,
     spectral_locus,
     tristimulus,
 )
+from lumenkit.spectral import GAUSS_REACH_WIDTHS
 
 KM = 683.0
 # Quadrature and Simplex rounding only.
@@ -83,3 +90,24 @@ def test_envelope_matches_simplex_inside_the_gamut(delta_lambda, alpha, seed):
     assert xyz[0] / xyz.sum() == pytest.approx(x, abs=1e-9)
     assert xyz[1] / xyz.sum() == pytest.approx(y, abs=1e-9)
     assert delta_lambda * power.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+_EYES = {"photopic": lambda: PHOTOPIC, "scotopic": lambda: SCOTOPIC,
+         "tabulated": lambda: Tabulated.from_cmf(default_cmf())}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(1000.0, 20000.0), st.floats(380.0, 770.0), st.floats(1.0, 400.0),
+       st.floats(380.0, 700.0), st.floats(0.5, 20.0), st.floats(300.0, 900.0),
+       st.sampled_from(sorted(_EYES)))
+def test_per_and_tristimulus_share_one_band_rule(t_k, lo, span, peak, width, lam, eye):
+    # One band rule: bounds on a source cut it as a truncated source would;
+    # a Gaussian's own band is its reach; a line carries unit power.
+    v, cmf, hi = _EYES[eye](), default_cmf(), lo + span
+    assert per(Planck(t_k), v, KM, lo, hi) == per(TruncatedPlanck(t_k, lo, hi), v, KM)
+    assert (tristimulus(Planck(t_k), cmf, KM, lo, hi)
+            == tristimulus(TruncatedPlanck(t_k, lo, hi), cmf, KM))
+    reach = GAUSS_REACH_WIDTHS * width
+    assert (per(Gaussian(peak, width), v, KM)
+            == per(Gaussian(peak, width), v, KM, peak - reach, peak + reach))
+    assert per(Line(lam), v, KM).per == KM * luminosity(v, lam)
