@@ -213,7 +213,7 @@ def tristimulus(model: SpectrumModel, cmf: CmfTable, km: float,
     wl = cmf.wavelengths_nm
     edges = band(model, lam_min_nm, lam_max_nm, (float(wl[0]), float(wl[-1])))
     t = Tristimulus(*integrals(model, edges, lambda lam: (
-        km * np.interp(lam, wl, column) for column in (cmf.xbar, cmf.ybar, cmf.zbar)), wl))
+        np.interp(lam, wl, column) for column in (cmf.xbar, cmf.ybar, cmf.zbar)), wl, scale=km))
     if t.X == 0.0 and t.Y == 0.0 and t.Z == 0.0:
         raise ZeroSpectrumError("spectrum carries no power under the CMF table")
     return t

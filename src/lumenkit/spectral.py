@@ -287,10 +287,11 @@ def band(model: SpectrumModel, lam_min_nm: float | None = None,
     hi = math.inf if lam_max_nm is None else lam_max_nm
     if within is not None:
         lo, hi = max(lo, within[0]), min(hi, within[1])
-    support = model.support() or (lo, hi)
-    if not (support[0] <= hi and lo <= support[1]):
-        raise ZeroSpectrumError(f"{type(model).__name__} emits nothing in [{lo}, {hi}] nm")
-    lo, hi = max(lo, support[0]), min(hi, support[1])
+    support = model.support()
+    if support is not None:
+        if not (support[0] <= hi and lo <= support[1]):
+            raise ZeroSpectrumError(f"{type(model).__name__} emits nothing in [{lo}, {hi}] nm")
+        lo, hi = max(lo, support[0]), min(hi, support[1])
     if lo == -math.inf or hi == math.inf:
         if lam_min_nm is None and lam_max_nm is None and model.closed_form_total() is not None:
             return None
@@ -301,11 +302,13 @@ def band(model: SpectrumModel, lam_min_nm: float | None = None,
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrals(model: SpectrumModel, edges: tuple[float, float], weigh,
-              *breakpoints) -> list[float]:
-    """Integrals over ``edges`` of the model's power times each array of
-    ``weigh(nodes)`` (None for 1), each smooth between ``breakpoints``;
-    :class:`DomainError` if one overflows."""
+              *breakpoints, scale: float = 1.0) -> list[float]:
+    """Integrals over ``edges`` of ``scale`` times the model's power times
+    each array of ``weigh(nodes)`` (None for 1), each smooth between
+    ``breakpoints``; :class:`DomainError` if one overflows."""
     lam, power = model.emission(*edges, *breakpoints)
+    if scale != 1.0:
+        power = scale * power
     sums = [float(power.sum() if w is None else power @ w) for w in weigh(lam)]
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"the spectrum overflows: its integrals over [{edges[0]}, "
